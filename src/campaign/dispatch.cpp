@@ -304,8 +304,9 @@ std::vector<TaskOutcome> SubprocessExecutor::run_wave(
   for (std::size_t i = 0; i < tasks.size(); ++i) {
     const ShardTask& task = tasks[i];
     Child& child = children[i];
-    child.path = workdir_ + "/shard-" + std::to_string(task.slot) + "-gen" +
-                 std::to_string(task.generation) + ".jsonl";
+    const std::string stem = workdir_ + "/shard-" + std::to_string(task.slot) +
+                             "-gen" + std::to_string(task.generation);
+    child.path = stem + ".jsonl";
 
     std::string cmd = shell_quote(runner_path_);
     cmd += " --scenario=" + shell_quote(scenario_name_);
@@ -323,6 +324,11 @@ std::vector<TaskOutcome> SubprocessExecutor::run_wave(
     cmd += " --shards=" + std::to_string(task.plan.shard_count);
     cmd += " --shard=" + std::to_string(task.slot);
     cmd += " --emit-chunks=" + shell_quote(child.path);
+    if (options_.metrics_timers) {
+      // The child turns its phase timers on only when asked for a
+      // metrics document; its stream trailer then carries the timings.
+      cmd += " --metrics-json=" + shell_quote(stem + ".metrics.json");
+    }
     if (task.generation > 0) {
       // Repair wave: the explicit chunk set, never refaulted.
       std::string ids;

@@ -477,8 +477,7 @@ std::vector<TrialSample> run_trial(const Scenario& scenario,
 std::array<StreamingStats, kMetricCount> run_chunk(
     const Scenario& scenario, std::uint64_t campaign_seed,
     const ChunkRef& chunk, shield::TrialContext* context,
-    std::uint64_t warmup_seed, snapshot::SnapshotCache* cache,
-    ChunkPoolCounters* fresh_counters) {
+    std::uint64_t warmup_seed, snapshot::SnapshotCache* cache) {
   std::array<StreamingStats, kMetricCount> metrics{};
   // Re-applying the warm policy is idempotent for a dedicated worker
   // context and required for a shared one: a service worker runs chunks
@@ -502,11 +501,6 @@ std::array<StreamingStats, kMetricCount> run_chunk(
         fresh.set_warm_policy(warmup_seed, cache);
         samples =
             run_trial(scenario, chunk.point_index, axis_value, seed, &fresh);
-        if (fresh_counters != nullptr) {
-          fresh_counters->deployments_built += fresh.deployments_built();
-          fresh_counters->snapshots_restored += fresh.snapshots_restored();
-          fresh_counters->snapshots_saved += fresh.snapshots_saved();
-        }
       }
     }
     obs::count(obs::Counter::kTrials);
@@ -570,15 +564,6 @@ ShardExecution run_campaign_chunks(const Scenario& scenario,
   obs::MetricsRegistry registry(options.metrics_timers);
   const bool tracing = options.trace != nullptr;
 
-  // Legacy pool-effectiveness counters keep their historical accounting:
-  // the no-reuse baseline records only built/restored/saved from its
-  // throwaway contexts (within-trial resets excluded), matching what the
-  // A/B comparison has always reported. The obs report counts every
-  // event at its site and is the superset.
-  std::atomic<std::size_t> deployments_built{0};
-  std::atomic<std::size_t> deployments_reused{0};
-  std::atomic<std::size_t> snapshots_restored{0};
-  std::atomic<std::size_t> snapshots_saved{0};
   std::atomic<std::size_t> chunks_done{0};
   const std::size_t progress_every =
       std::max<std::size_t>(std::size_t{1}, chunks.size() / 10);
@@ -590,6 +575,7 @@ ShardExecution run_campaign_chunks(const Scenario& scenario,
     // reconstructed (bit-identical either way; see trial_context.hpp).
     // run_chunk applies the warm policy on every chunk.
     shield::TrialContext pool;
+    shield::TrialContext* context = options.reuse_deployments ? &pool : nullptr;
     for (;;) {
       std::optional<std::size_t> c;
       bool stolen = false;
@@ -626,18 +612,8 @@ ShardExecution run_campaign_chunks(const Scenario& scenario,
                              "chunk " + std::to_string(chunk.chunk_index),
                              std::string(args));
         }
-        if (options.reuse_deployments) {
-          exec.chunk_metrics[*c] = run_chunk(scenario, options.seed, chunk,
-                                             &pool, warm_seed, cache_ptr);
-        } else {
-          ChunkPoolCounters fresh;
-          exec.chunk_metrics[*c] = run_chunk(scenario, options.seed, chunk,
-                                             nullptr, warm_seed, cache_ptr,
-                                             &fresh);
-          deployments_built.fetch_add(fresh.deployments_built);
-          snapshots_restored.fetch_add(fresh.snapshots_restored);
-          snapshots_saved.fetch_add(fresh.snapshots_saved);
-        }
+        exec.chunk_metrics[*c] = run_chunk(scenario, options.seed, chunk,
+                                           context, warm_seed, cache_ptr);
       }
       obs::count(obs::Counter::kChunks);
       oscope.flush();  // chunk boundary: fold the thread block + spans
@@ -647,9 +623,9 @@ ShardExecution run_campaign_chunks(const Scenario& scenario,
       }
       if (options.progress) {
         if (done % progress_every == 0 || done == chunks.size()) {
-          // One fwrite + flush per line: run_sharded.py multiplexes the
-          // stderr of K shard processes, and a buffered or split write
-          // could interleave partial lines across shards.
+          // One fwrite + flush per line: K shard processes may share one
+          // stderr, and a buffered or split write could interleave
+          // partial lines across shards.
           char line[96];
           const int len =
               std::snprintf(line, sizeof line, "shard %zu/%zu: chunks %zu/%zu\n",
@@ -661,10 +637,6 @@ ShardExecution run_campaign_chunks(const Scenario& scenario,
         }
       }
     }
-    deployments_built.fetch_add(pool.deployments_built());
-    deployments_reused.fetch_add(pool.deployments_reused());
-    snapshots_restored.fetch_add(pool.snapshots_restored());
-    snapshots_saved.fetch_add(pool.snapshots_saved());
   };
 
   // steady_clock here is allowlisted in LINT.toml (steady-clock-scope):
@@ -684,11 +656,6 @@ ShardExecution run_campaign_chunks(const Scenario& scenario,
   const auto t1 = std::chrono::steady_clock::now();
   exec.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
   exec.metrics = registry.report();
-  exec.deployments_built = deployments_built.load();
-  exec.deployments_reused = deployments_reused.load();
-  exec.chunks_stolen = exec.metrics.counter(obs::Counter::kChunksStolen);
-  exec.snapshots_restored = snapshots_restored.load();
-  exec.snapshots_saved = snapshots_saved.load();
   return exec;
 }
 
@@ -709,11 +676,6 @@ CampaignResult run_campaign(const Scenario& scenario,
   ShardExecution exec = run_campaign_shard(scenario, options, 1, 0);
   result.options.threads = exec.threads;
   result.wall_seconds = exec.wall_seconds;
-  result.deployments_built = exec.deployments_built;
-  result.deployments_reused = exec.deployments_reused;
-  result.chunks_stolen = exec.chunks_stolen;
-  result.snapshots_restored = exec.snapshots_restored;
-  result.snapshots_saved = exec.snapshots_saved;
   result.metrics = exec.metrics;
 
   result.points.resize(exec.plan.point_count);

@@ -72,8 +72,7 @@ struct CampaignOptions {
   /// the K processes of a sharded campaign.
   std::string snapshot_dir;
   /// Print periodic `shard i/K: chunks c/C` progress lines to stderr
-  /// (enabled by the CLI's shard mode; tools/run_sharded.py multiplexes
-  /// the streams of all shard processes).
+  /// (enabled by the CLI's shard mode).
   bool progress = false;
   /// Collect nanosecond phase timers (obs::Phase) alongside the
   /// always-on counters. Enabled by the CLI's `--metrics-json`; timers
@@ -109,20 +108,9 @@ struct CampaignResult {
   std::vector<PointResult> points;
   std::size_t total_trials = 0;
   double wall_seconds = 0.0;
-  /// Trial-context pool effectiveness, summed over workers (reused stays
-  /// 0 with reuse_deployments off or for kinds that need no deployment).
-  std::size_t deployments_built = 0;
-  std::size_t deployments_reused = 0;
-  /// Chunks an idle worker took from another worker's deque. Schedule
-  /// observability only — steals never affect aggregates.
-  std::size_t chunks_stolen = 0;
-  /// Warm-snapshot effectiveness: trials whose warm-up was skipped by a
-  /// snapshot restore, and cold warm-ups published to the cache. Both 0
-  /// with snapshots off.
-  std::size_t snapshots_restored = 0;
-  std::size_t snapshots_saved = 0;
-  /// Merged observability report: every counter above plus (when
-  /// CampaignOptions::metrics_timers was set) per-phase wall time.
+  /// Merged observability report: the pool counters (deployments built
+  /// and reused, chunks stolen, snapshots restored and saved, ...) plus,
+  /// when CampaignOptions::metrics_timers was set, per-phase wall time.
   /// Runtime-only — reports/CSV/JSON never include it, so canonical
   /// outputs stay byte-identical with metrics on or off.
   obs::Report metrics;
@@ -163,16 +151,6 @@ std::vector<TrialSample> run_trial(const Scenario& scenario,
                                    double axis_value, std::uint64_t seed,
                                    shield::TrialContext* context = nullptr);
 
-/// Pool-effectiveness counters run_chunk reports for the throwaway
-/// (context == nullptr) path, where the per-trial contexts are internal
-/// to the call. Matches the historical no-reuse accounting: built /
-/// restored / saved only, within-trial resets excluded.
-struct ChunkPoolCounters {
-  std::size_t deployments_built = 0;
-  std::size_t snapshots_restored = 0;
-  std::size_t snapshots_saved = 0;
-};
-
 /// Executes one chunk and returns its metric accumulators — the
 /// chunk-granular submission point for external schedulers (the service
 /// daemon feeds interleaved chunks from many concurrent campaigns
@@ -186,29 +164,23 @@ struct ChunkPoolCounters {
 /// (re)applied from `warmup_seed`/`cache` on every call, so one context
 /// may serve chunks of different campaigns back to back). A null
 /// `context` builds a fresh context per trial — the `--no-reuse` A/B
-/// baseline — accumulating pool counters into `fresh_counters` when
-/// given. `warmup_seed` must come from campaign_warmup_seed(); `cache`
-/// may be null (two-phase seeding stays on, only the snapshot cache is
-/// bypassed).
+/// baseline. Pool events are counted through the obs counters of the
+/// calling thread. `warmup_seed` must come from campaign_warmup_seed();
+/// `cache` may be null (two-phase seeding stays on, only the snapshot
+/// cache is bypassed).
 std::array<StreamingStats, kMetricCount> run_chunk(
     const Scenario& scenario, std::uint64_t campaign_seed,
     const ChunkRef& chunk, shield::TrialContext* context,
-    std::uint64_t warmup_seed, snapshot::SnapshotCache* cache,
-    ChunkPoolCounters* fresh_counters = nullptr);
+    std::uint64_t warmup_seed, snapshot::SnapshotCache* cache);
 
 /// One shard's execution: per-chunk accumulators (parallel to
-/// plan.chunks) plus the pool counters. Kept un-merged so the chunk
-/// stream can serialize every chunk individually.
+/// plan.chunks) plus the observability report. Kept un-merged so the
+/// chunk stream can serialize every chunk individually.
 struct ShardExecution {
   ShardPlan plan;
   std::vector<std::array<StreamingStats, kMetricCount>> chunk_metrics;
   unsigned threads = 1;
   double wall_seconds = 0.0;
-  std::size_t deployments_built = 0;
-  std::size_t deployments_reused = 0;
-  std::size_t chunks_stolen = 0;
-  std::size_t snapshots_restored = 0;
-  std::size_t snapshots_saved = 0;
   /// Merged-across-workers observability report for this shard; the
   /// chunk-stream trailer serializes it so `--merge` can aggregate all
   /// K shards' metrics (see chunk_stream.hpp).

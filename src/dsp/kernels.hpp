@@ -1,7 +1,7 @@
 // Hand-vectorized SIMD kernels for the DSP hot paths, behind a runtime
 // dispatch table.
 //
-// The profile (BENCH_campaign.json phase_breakdown) puts ~62% of per-trial
+// The profile (the --metrics-json phase breakdown) puts ~62% of per-trial
 // wall time in the receiver demod path and ~18% in Medium::mix; the SoA
 // plane refactor (PR 3/PR 5) made those loops contiguous-plane arithmetic,
 // and this layer is where they become real vector instructions on purpose.
@@ -20,8 +20,7 @@
 //    results match bit for bit. `test_dsp_kernels` enforces this over
 //    randomized planes for every backend the host can run.
 //  * All kernel translation units are compiled with -ffp-contract=off, so
-//    kernel results are also invariant across build flavors (the HS_NATIVE
-//    flavor changes the surrounding code's rounding, never the kernels').
+//    no FMA contraction can change a kernel's rounding.
 //
 // Raw intrinsics are forbidden outside src/dsp/kernels.* (determinism
 // linter rule `raw-intrinsics`); new vector code goes through this table.

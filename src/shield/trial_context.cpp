@@ -8,21 +8,17 @@
 namespace hs::shield {
 
 void TrialContext::set_warm_policy(std::uint64_t warmup_seed,
-                                   snapshot::SnapshotCache* cache,
-                                   WarmStrategy strategy) {
+                                   snapshot::SnapshotCache* cache) {
   warmup_seed_ = warmup_seed;
   cache_ = warmup_seed != 0 ? cache : nullptr;
-  strategy_ = strategy;
 }
 
 Deployment& TrialContext::cold_deployment(const DeploymentOptions& options) {
   if (deployment_ != nullptr && deployment_->can_reset_to(options)) {
     deployment_->reset(options);
-    ++deployments_reused_;
     obs::count(obs::Counter::kDeploymentsReused);
   } else {
     deployment_ = std::make_unique<Deployment>(options);
-    ++deployments_built_;
     obs::count(obs::Counter::kDeploymentsBuilt);
   }
   return *deployment_;
@@ -32,8 +28,7 @@ Deployment& TrialContext::deployment(const DeploymentOptions& options) {
   DeploymentOptions opts = options;
   if (warmup_seed_ != 0) opts.warmup_seed = warmup_seed_;
   if (cache_ == nullptr) return cold_deployment(opts);
-  if (strategy_ == WarmStrategy::kRestoreOnBuild && deployment_ != nullptr &&
-      deployment_->can_reset_to(opts)) {
+  if (deployment_ != nullptr && deployment_->can_reset_to(opts)) {
     // Replaying the warm-up through reset is cheaper than deserializing
     // a snapshot (and bit-identical); the cache matters only when the
     // deployment below must be (re)built.
@@ -52,7 +47,6 @@ Deployment& TrialContext::deployment(const DeploymentOptions& options) {
       obs::TraceSpan span("snapshot", "snapshot_save");
       cache_->store(key, d.save_warm());
     }
-    ++snapshots_saved_;
     obs::count(obs::Counter::kSnapshotsSaved);
     return d;
   }
@@ -60,17 +54,9 @@ Deployment& TrialContext::deployment(const DeploymentOptions& options) {
     {
       obs::ScopedTimer timer(obs::Phase::kSnapshotRestore);
       obs::TraceSpan span("snapshot", "snapshot_restore");
-      if (deployment_ != nullptr && deployment_->can_reset_to(opts)) {
-        deployment_->restore_warm(*doc, opts);
-        ++deployments_reused_;
-        obs::count(obs::Counter::kDeploymentsReused);
-      } else {
-        deployment_ = std::make_unique<Deployment>(*doc, opts);
-        ++deployments_built_;
-        obs::count(obs::Counter::kDeploymentsBuilt);
-      }
+      deployment_ = std::make_unique<Deployment>(*doc, opts);
     }
-    ++snapshots_restored_;
+    obs::count(obs::Counter::kDeploymentsBuilt);
     obs::count(obs::Counter::kSnapshotsRestored);
     return *deployment_;
   } catch (const snapshot::SnapshotError& e) {

@@ -33,25 +33,6 @@ class SnapshotCache;
 
 namespace hs::shield {
 
-/// How a warm-policy context uses its snapshot cache. Both strategies
-/// produce bit-identical deployments (the snapshot-identity tests sweep
-/// both); they differ only in which recovery path runs when.
-enum class WarmStrategy {
-  /// Consult the cache only when the deployment must be (re)built; a
-  /// pooled deployment whose node set matches is reset — replaying the
-  /// warm-up — instead of deserializing a snapshot. The default: since
-  /// the SIMD kernels cut warm-up replay below snapshot-restore
-  /// deserialization cost, per-trial restores were a net loss (the
-  /// BENCH_campaign.json `warm_speedup: 0.972` regression), while
-  /// restores still win exactly where they are irreplaceable — first
-  /// trials of freshly built contexts (sharded startup, serverd
-  /// workers, `--no-reuse`) skipping the cold warm-up simulation.
-  kRestoreOnBuild,
-  /// Restore from the cache on every trial, matching pooled deployment
-  /// or not — the historical policy, kept for A/B timing.
-  kRestoreAlways,
-};
-
 class TrialContext {
  public:
   TrialContext() = default;
@@ -61,22 +42,24 @@ class TrialContext {
   /// Two-phase seeding + warm-state snapshots. A nonzero `warmup_seed` is
   /// stamped into every DeploymentOptions this context builds from (see
   /// DeploymentOptions::warmup_seed), making the post-warm-up state
-  /// trial-independent. With a cache, deployment() then restores that
-  /// state from a warm snapshot instead of re-simulating the warm-up —
-  /// publishing a snapshot on the first cold miss. When a restore runs
-  /// is the `strategy` knob (see WarmStrategy). The cache may be
-  /// shared across worker threads (it is internally locked) and, through
-  /// its directory, across shard processes. Both restored and cold
+  /// trial-independent. With a cache, deployment() consults it only when
+  /// the deployment must be (re)built: it then restores that state from
+  /// a warm snapshot instead of re-simulating the warm-up — publishing a
+  /// snapshot on the first cold miss. A pooled deployment whose node set
+  /// matches is reset instead, because replaying the warm-up is cheaper
+  /// than deserializing a snapshot. The cache may be shared across
+  /// worker threads (it is internally locked) and, through its
+  /// directory, across shard processes. Both restored and cold
   /// deployments are bit-identical by construction; the campaign's
   /// snapshot-identity tests enforce it.
   void set_warm_policy(std::uint64_t warmup_seed,
-                       snapshot::SnapshotCache* cache,
-                       WarmStrategy strategy = WarmStrategy::kRestoreOnBuild);
+                       snapshot::SnapshotCache* cache);
 
   /// Returns a deployment in exactly the state `Deployment(options)`
   /// would produce. Reuses (reset + reseeds) the pooled instance when its
-  /// node set matches; otherwise rebuilds it. Under a warm policy the
-  /// reset is replaced by a snapshot restore on cache hits. Any auxiliary
+  /// node set matches; otherwise rebuilds it, from a warm snapshot on a
+  /// cache hit. Every build, reuse, restore and save is counted through
+  /// the obs counters of the attached thread. Any auxiliary
   /// nodes from the previous trial are forgotten — re-acquire them
   /// after this call, in the same order a fresh experiment would
   /// construct them.
@@ -102,14 +85,6 @@ class TrialContext {
                                  JamProfile profile, std::uint64_t seed,
                                  std::size_t fft_size = 256);
 
-  /// Pool effectiveness counters (reported in the campaign perf snapshot).
-  std::size_t deployments_built() const { return deployments_built_; }
-  std::size_t deployments_reused() const { return deployments_reused_; }
-  /// Trials whose warm-up was skipped by a snapshot restore, and cold
-  /// warm-ups whose state this context published to the cache.
-  std::size_t snapshots_restored() const { return snapshots_restored_; }
-  std::size_t snapshots_saved() const { return snapshots_saved_; }
-
  private:
   /// Cold path: reset-or-rebuild with a full warm-up replay.
   Deployment& cold_deployment(const DeploymentOptions& options);
@@ -122,11 +97,6 @@ class TrialContext {
   std::unique_ptr<JammingSignalGenerator> jamgen_;
   std::uint64_t warmup_seed_ = 0;
   snapshot::SnapshotCache* cache_ = nullptr;
-  WarmStrategy strategy_ = WarmStrategy::kRestoreOnBuild;
-  std::size_t deployments_built_ = 0;
-  std::size_t deployments_reused_ = 0;
-  std::size_t snapshots_restored_ = 0;
-  std::size_t snapshots_saved_ = 0;
 };
 
 }  // namespace hs::shield

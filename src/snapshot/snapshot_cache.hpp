@@ -56,7 +56,7 @@ class SnapshotCache {
   bool persistent() const { return !dir_.empty(); }
   const std::string& dir() const { return dir_; }
 
-  /// Observability counters for the campaign perf snapshot.
+  /// Cache lookup counters (the snapshot tests assert on them).
   std::size_t hits() const;
   std::size_t misses() const;
   std::size_t disk_loads() const;

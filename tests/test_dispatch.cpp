@@ -12,8 +12,8 @@
 //
 // SubprocessExecutor is deliberately not unit-tested here: it shells
 // out to campaign_runner, which unit tests cannot assume is built. CI's
-// fault-injection job (run_sharded.py --inject) covers that transport
-// end to end.
+// fault-injection job (`--dispatch --executor=process --fault-plan`)
+// covers that transport end to end.
 #include <gtest/gtest.h>
 
 #include <cstddef>

@@ -541,8 +541,12 @@ TEST(WorkStealing, Fig9AggregatesAndAccountingStableUnderStress) {
   // Every eavesdrop trial acquires exactly one pooled deployment, so
   // builds + reuses must equal the trial count — the accounting identity
   // that catches a worker double-counting or dropping acquisitions.
+  const auto pool_events = [](const CampaignResult& r, obs::Counter c) {
+    return static_cast<std::size_t>(r.metrics.counter(c));
+  };
   const std::size_t acquisitions =
-      reference.deployments_built + reference.deployments_reused;
+      pool_events(reference, obs::Counter::kDeploymentsBuilt) +
+      pool_events(reference, obs::Counter::kDeploymentsReused);
   EXPECT_EQ(acquisitions, reference.total_trials);
 
   std::vector<unsigned> thread_counts = {2, 3};
@@ -555,12 +559,14 @@ TEST(WorkStealing, Fig9AggregatesAndAccountingStableUnderStress) {
       parallel.threads = threads;
       const auto result = run_campaign(s, parallel);
       expect_identical(reference, result);
-      EXPECT_EQ(result.deployments_built + result.deployments_reused,
+      EXPECT_EQ(pool_events(result, obs::Counter::kDeploymentsBuilt) +
+                    pool_events(result, obs::Counter::kDeploymentsReused),
                 acquisitions)
           << "rep " << rep << " threads " << threads;
       // Each worker builds at most one deployment for this single-config
       // scenario, however the steals landed.
-      EXPECT_LE(result.deployments_built, static_cast<std::size_t>(threads));
+      EXPECT_LE(pool_events(result, obs::Counter::kDeploymentsBuilt),
+                static_cast<std::size_t>(threads));
       if (testing::Test::HasFailure()) return;  // don't spam 50x
     }
   }

@@ -17,6 +17,7 @@
 #include "campaign/scenario.hpp"
 #include "dsp/rng.hpp"
 #include "imd/profiles.hpp"
+#include "obs/metrics.hpp"
 #include "shield/deployment.hpp"
 #include "shield/trial_context.hpp"
 #include "snapshot/snapshot_cache.hpp"
@@ -439,10 +440,14 @@ TEST(TrialContextSnapshot, CorruptCacheEntryFallsBackToColdBitIdentically) {
   const std::string key = shield::deployment_warm_key(keyed);
   {
     SnapshotCache cache(dir);
-    shield::TrialContext warm;
-    warm.set_warm_policy(7, &cache);
-    warm.deployment(opt);
-    EXPECT_EQ(warm.snapshots_saved(), 1u);
+    obs::MetricsRegistry registry;
+    {
+      obs::WorkerScope scope(&registry, nullptr, "warm");
+      shield::TrialContext warm;
+      warm.set_warm_policy(7, &cache);
+      warm.deployment(opt);
+    }
+    EXPECT_EQ(registry.report().counter(obs::Counter::kSnapshotsSaved), 1u);
   }
   const std::string path = dir + "/" + key + ".hsnap";
   std::FILE* f = std::fopen(path.c_str(), "r+b");
@@ -454,12 +459,18 @@ TEST(TrialContextSnapshot, CorruptCacheEntryFallsBackToColdBitIdentically) {
   SnapshotCache cache(dir);
   shield::TrialContext ctx;
   ctx.set_warm_policy(7, &cache);
-  shield::Deployment& d = ctx.deployment(opt);
+  obs::MetricsRegistry registry;
+  shield::Deployment* d = nullptr;
+  {
+    obs::WorkerScope scope(&registry, nullptr, "ctx");
+    d = &ctx.deployment(opt);
+  }
   // The corrupted file was a miss; the context warmed up cold and
   // republished — state identical to the no-cache reference.
-  EXPECT_EQ(d.save_warm(), want);
-  EXPECT_EQ(ctx.snapshots_restored(), 0u);
-  EXPECT_EQ(ctx.snapshots_saved(), 1u);
+  EXPECT_EQ(d->save_warm(), want);
+  const obs::Report counters = registry.report();
+  EXPECT_EQ(counters.counter(obs::Counter::kSnapshotsRestored), 0u);
+  EXPECT_EQ(counters.counter(obs::Counter::kSnapshotsSaved), 1u);
 }
 
 // ---- Campaign-level byte identity -----------------------------------------
@@ -491,11 +502,12 @@ TEST(CampaignSnapshot, WarmRunsByteIdenticalToColdForEveryPreset) {
     warm.snapshots = true;
     auto warm_result = campaign::run_campaign(s, warm);
     if (campaign::experiment_uses_deployments(s.kind)) {
-      // Under WarmStrategy::kRestoreOnBuild a 1-thread run may satisfy
-      // every later trial by resetting its pooled deployment, so the
-      // cache's footprint is "published at least one snapshot" (and
-      // restored on any rebuild), not "restored every trial".
-      EXPECT_GT(warm_result.snapshots_restored + warm_result.snapshots_saved,
+      // A 1-thread run may satisfy every later trial by resetting its
+      // pooled deployment, so the cache's footprint is "published at
+      // least one snapshot" (and restored on any rebuild), not "restored
+      // every trial".
+      EXPECT_GT(warm_result.metrics.counter(obs::Counter::kSnapshotsRestored) +
+                    warm_result.metrics.counter(obs::Counter::kSnapshotsSaved),
                 0u);
     }
 
@@ -524,11 +536,13 @@ TEST(CampaignSnapshot, SnapshotDirIsSharedAcrossProcessesAndRuns) {
   first.snapshots = true;
   first.snapshot_dir = dir;
   const auto first_result = campaign::run_campaign(s, first);
-  EXPECT_GT(first_result.snapshots_saved, 0u);
+  EXPECT_GT(first_result.metrics.counter(obs::Counter::kSnapshotsSaved), 0u);
 
   auto second_result = campaign::run_campaign(s, first);
-  EXPECT_EQ(second_result.snapshots_saved, 0u);  // all keys on disk
-  EXPECT_GT(second_result.snapshots_restored, 0u);
+  // All keys are on disk.
+  EXPECT_EQ(second_result.metrics.counter(obs::Counter::kSnapshotsSaved), 0u);
+  EXPECT_GT(second_result.metrics.counter(obs::Counter::kSnapshotsRestored),
+            0u);
 
   campaign::canonicalize(cold_result);
   campaign::canonicalize(second_result);
