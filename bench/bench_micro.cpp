@@ -30,6 +30,38 @@ void BM_Fft(benchmark::State& state) {
 }
 BENCHMARK(BM_Fft)->Arg(256)->Arg(1024)->Arg(4096);
 
+// The inverse transform the jamming generator runs once per fft_size
+// samples (256 bins in production).
+void BM_Ifft(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  dsp::Rng rng(1);
+  dsp::Samples data(n);
+  rng.fill_awgn(data, 1.0);
+  for (auto _ : state) {
+    dsp::ifft_inplace(data);
+    benchmark::DoNotOptimize(data.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_Ifft)->Arg(256);
+
+// Thermal noise per antenna per medium block (48 samples in production).
+void BM_FillAwgn(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  dsp::Rng rng(8);
+  dsp::SoaSamples out(n);
+  for (auto _ : state) {
+    rng.fill_awgn(out.view(), 1.0);
+    benchmark::DoNotOptimize(out.re());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_FillAwgn)->Arg(48);
+
 void BM_FskModulate(benchmark::State& state) {
   phy::FskParams fsk;
   phy::FskModulator mod(fsk);
@@ -82,18 +114,23 @@ void BM_ReceiverFrame(benchmark::State& state) {
 }
 BENCHMARK(BM_ReceiverFrame);
 
+// Jamming synthesis in slices of `range(0)` samples through the split
+// overload the shield runs (48-sample medium blocks in production).
 void BM_JamGen(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
   phy::FskParams fsk;
   shield::JammingSignalGenerator gen(fsk, shield::JamProfile::kShaped, 5);
   gen.set_power(1.0);
+  dsp::SoaSamples block;
   for (auto _ : state) {
-    auto block = gen.next(4096);
-    benchmark::DoNotOptimize(block.data());
+    gen.next(n, block);
+    benchmark::DoNotOptimize(block.re());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          4096);
+                          static_cast<std::int64_t>(n));
 }
-BENCHMARK(BM_JamGen);
+BENCHMARK(BM_JamGen)->Arg(48)->Arg(4096);
 
 void BM_SidMatcher(benchmark::State& state) {
   phy::DeviceId id = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10};

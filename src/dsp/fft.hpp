@@ -2,10 +2,13 @@
 /// Radix-2 FFT used for jamming-signal shaping (per-bin Gaussian noise ->
 /// IFFT, paper section 6(a)) and for spectrum estimation (Figs. 4 and 5).
 ///
-/// Twiddle factors come from a per-size cache computed directly with
-/// std::polar (1-ulp accuracy at every index), not from the multiplicative
-/// recurrence whose phase error grows O(n*eps) across a transform. The
-/// cache is shared across threads and lives for the program's lifetime.
+/// Each size has a plan, built once and shared across threads for the
+/// program's lifetime: the bit-reversal permutation plus split re/im
+/// twiddles, computed directly with std::polar (1-ulp accuracy at every
+/// index), not from the multiplicative recurrence whose phase error grows
+/// O(n*eps) across a transform. The butterflies run on split planes in
+/// the kernels::fft_stages dispatch entry (scalar, SSE2, AVX2, all
+/// bit-identical); the AoS transforms gather into split scratch and back.
 ///
 /// Size contract: the in-place transforms require power-of-two input and
 /// throw otherwise. The out-of-place `fft()` convenience wrapper
@@ -33,6 +36,11 @@ void fft_inplace(MutSampleView data);
 
 /// In-place inverse FFT with 1/N normalization.
 void ifft_inplace(MutSampleView data);
+
+/// Split-plane in-place transforms: bit-identical to the AoS ones on the
+/// same samples, without the interleave round trip.
+void fft_inplace(MutSoaView data);
+void ifft_inplace(MutSoaView data);
 
 /// Out-of-place forward transform. The time-domain input is zero-padded to
 /// next_pow2(input.size()), so the result has that many bins and

@@ -130,9 +130,37 @@ void fir_cplx_scalar(const double* tap_re, const double* tap_im,
   }
 }
 
+void fft_stages_scalar(double* re, double* im, std::size_t n,
+                       const double* wr, const double* wi) {
+  // The radix-2 DIT butterflies of the original std::complex loop,
+  // `v = data[i + k + h] * w; data[i + k] = u + v; data[i + k + h] = u - v`,
+  // on split planes with the product expanded as -fcx-limited-range
+  // compiles it.
+  for (std::size_t h = 1; h < n; h <<= 1) {
+    const double* sr = wr + (h - 1);
+    const double* si = wi + (h - 1);
+    for (std::size_t i = 0; i < n; i += 2 * h) {
+      double* ar = re + i;
+      double* ai = im + i;
+      double* br = ar + h;
+      double* bi = ai + h;
+      for (std::size_t k = 0; k < h; ++k) {
+        const double vr = br[k] * sr[k] - bi[k] * si[k];
+        const double vi = br[k] * si[k] + bi[k] * sr[k];
+        const double ur = ar[k];
+        const double ui = ai[k];
+        ar[k] = ur + vr;
+        ai[k] = ui + vi;
+        br[k] = ur - vr;
+        bi[k] = ui - vi;
+      }
+    }
+  }
+}
+
 const KernelTable kScalarTable = {
-    &segcorr_scalar, &dual_tone_scalar, &cmac_scalar, &fir_real_scalar,
-    &fir_cplx_scalar,
+    &segcorr_scalar,  &dual_tone_scalar, &cmac_scalar,
+    &fir_real_scalar, &fir_cplx_scalar,  &fft_stages_scalar,
 };
 
 // ---- runtime dispatch ----------------------------------------------------
@@ -279,6 +307,11 @@ void fir_block_cplx(const double* tap_re, const double* tap_im,
                     double* out_re, double* out_im, std::size_t m) {
   dispatch().table->fir_block_cplx(tap_re, tap_im, t, x_re, x_im, out_re,
                                    out_im, m);
+}
+
+void fft_stages(double* re, double* im, std::size_t n, const double* wr,
+                const double* wi) {
+  dispatch().table->fft_stages(re, im, n, wr, wi);
 }
 
 }  // namespace hs::dsp::kernels

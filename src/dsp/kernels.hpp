@@ -1,21 +1,24 @@
 // Hand-vectorized SIMD kernels for the DSP hot paths, behind a runtime
 // dispatch table.
 //
-// The profile (the --metrics-json phase breakdown) puts ~62% of per-trial
-// wall time in the receiver demod path and ~18% in Medium::mix; the SoA
-// plane refactor (PR 3/PR 5) made those loops contiguous-plane arithmetic,
-// and this layer is where they become real vector instructions on purpose.
+// The hsbench phase breakdown (`hsbench/run.py --trace 1`; 4-core 2.1 GHz
+// x86-64, AVX2) puts 0.45 of eavesdrop (fig9) trial time in the receiver
+// demod path, 0.25 (eavesdrop) to 0.42 (attack, fig11-trigger) in
+// Medium::mix and 0.05 in jamming synthesis (FFT + per-bin draws). The
+// SoA plane buffers made those loops contiguous-plane arithmetic, and
+// this layer is where they become real vector instructions on purpose.
 //
 // Contract — every backend is BIT-EXACT against the scalar reference:
 //  * The scalar implementations in kernels.cpp are the pinned reference;
 //    they reproduce, operation for operation, the loops the call sites
 //    (FskReceiver::correlation_at, NoncoherentFskDemod::demod_symbol,
-//    Medium::mix, FirFilter/ComplexFirFilter::process) ran before this
-//    layer existed.
+//    Medium::mix, FirFilter/ComplexFirFilter::process, the std::complex
+//    FFT butterflies) ran before this layer existed.
 //  * SIMD backends only vectorize along dimensions that were already
 //    independent accumulation chains in the reference (the receiver's four
 //    correlation lanes, the demod's four accumulators, one FIR output per
-//    vector lane, elementwise channel MAC), so every floating-point
+//    vector lane, elementwise channel MAC, the butterflies of one FFT
+//    stage), so every floating-point
 //    operation happens in the same order with the same operands and the
 //    results match bit for bit. `test_dsp_kernels` enforces this over
 //    randomized planes for every backend the host can run.
@@ -118,6 +121,19 @@ void fir_block_cplx(const double* tap_re, const double* tap_im,
                     std::size_t t, const double* x_re, const double* x_im,
                     double* out_re, double* out_im, std::size_t m);
 
+/// Radix-2 DIT butterfly stages of an n-point FFT over split planes —
+/// the fft_inplace/ifft_inplace core. The input must already be in
+/// bit-reversed order; n is a power of two. `wr`/`wi` hold the n - 1 stage
+/// twiddles (the stage of half-length h reads entries [h - 1, 2h - 1));
+/// pass conjugated twiddles for the inverse. Each butterfly is
+///   v = b * w  (vr = br*wr - bi*wi, vi = br*wi + bi*wr, the
+///              -fcx-limited-range expansion of the complex product)
+///   a' = a + v,  b' = a - v
+/// and SIMD backends vectorize only along k within a stage, so every
+/// butterfly keeps its operands and its operation order.
+void fft_stages(double* re, double* im, std::size_t n, const double* wr,
+                const double* wi);
+
 /// Function-pointer dispatch table (one entry per kernel above, minus the
 /// layout helpers). Exposed so tests can exercise a specific backend's
 /// table directly; hot paths go through the free functions.
@@ -134,6 +150,8 @@ struct KernelTable {
   void (*fir_block_cplx)(const double*, const double*, std::size_t,
                          const double*, const double*, double*, double*,
                          std::size_t);
+  void (*fft_stages)(double*, double*, std::size_t, const double*,
+                     const double*);
 };
 
 /// Backend `b`'s table, or nullptr when this build/host cannot run it.

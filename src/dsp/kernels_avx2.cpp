@@ -177,9 +177,66 @@ void fir_cplx_avx2(const double* tap_re, const double* tap_im, std::size_t t,
   }
 }
 
+void fft_stages_avx2(double* re, double* im, std::size_t n,
+                     const double* wr, const double* wi) {
+  // Vector lanes are adjacent butterflies k..k+3 of one group: each lane
+  // runs the reference butterfly on its own operands. Stages too short
+  // for four lanes drop to two (h == 2) or one (h == 1).
+  for (std::size_t h = 1; h < n; h <<= 1) {
+    const double* sr = wr + (h - 1);
+    const double* si = wi + (h - 1);
+    for (std::size_t i = 0; i < n; i += 2 * h) {
+      double* ar = re + i;
+      double* ai = im + i;
+      double* br = ar + h;
+      double* bi = ai + h;
+      if (h == 1) {
+        const double vr = br[0] * sr[0] - bi[0] * si[0];
+        const double vi = br[0] * si[0] + bi[0] * sr[0];
+        const double ur = ar[0];
+        const double ui = ai[0];
+        ar[0] = ur + vr;
+        ai[0] = ui + vi;
+        br[0] = ur - vr;
+        bi[0] = ui - vi;
+      } else if (h == 2) {
+        const __m128d xr = _mm_loadu_pd(br);
+        const __m128d xi = _mm_loadu_pd(bi);
+        const __m128d tr = _mm_loadu_pd(sr);
+        const __m128d ti = _mm_loadu_pd(si);
+        const __m128d vr = _mm_sub_pd(_mm_mul_pd(xr, tr), _mm_mul_pd(xi, ti));
+        const __m128d vi = _mm_add_pd(_mm_mul_pd(xr, ti), _mm_mul_pd(xi, tr));
+        const __m128d ur = _mm_loadu_pd(ar);
+        const __m128d ui = _mm_loadu_pd(ai);
+        _mm_storeu_pd(ar, _mm_add_pd(ur, vr));
+        _mm_storeu_pd(ai, _mm_add_pd(ui, vi));
+        _mm_storeu_pd(br, _mm_sub_pd(ur, vr));
+        _mm_storeu_pd(bi, _mm_sub_pd(ui, vi));
+      } else {
+        for (std::size_t k = 0; k < h; k += 4) {
+          const __m256d xr = _mm256_loadu_pd(br + k);
+          const __m256d xi = _mm256_loadu_pd(bi + k);
+          const __m256d tr = _mm256_loadu_pd(sr + k);
+          const __m256d ti = _mm256_loadu_pd(si + k);
+          const __m256d vr =
+              _mm256_sub_pd(_mm256_mul_pd(xr, tr), _mm256_mul_pd(xi, ti));
+          const __m256d vi =
+              _mm256_add_pd(_mm256_mul_pd(xr, ti), _mm256_mul_pd(xi, tr));
+          const __m256d ur = _mm256_loadu_pd(ar + k);
+          const __m256d ui = _mm256_loadu_pd(ai + k);
+          _mm256_storeu_pd(ar + k, _mm256_add_pd(ur, vr));
+          _mm256_storeu_pd(ai + k, _mm256_add_pd(ui, vi));
+          _mm256_storeu_pd(br + k, _mm256_sub_pd(ur, vr));
+          _mm256_storeu_pd(bi + k, _mm256_sub_pd(ui, vi));
+        }
+      }
+    }
+  }
+}
+
 const KernelTable kAvx2Table = {
-    &segcorr_avx2, &dual_tone_avx2, &cmac_avx2, &fir_real_avx2,
-    &fir_cplx_avx2,
+    &segcorr_avx2,  &dual_tone_avx2, &cmac_avx2,
+    &fir_real_avx2, &fir_cplx_avx2,  &fft_stages_avx2,
 };
 
 }  // namespace

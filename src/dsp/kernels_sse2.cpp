@@ -197,9 +197,51 @@ void fir_cplx_sse2(const double* tap_re, const double* tap_im, std::size_t t,
   }
 }
 
+void fft_stages_sse2(double* re, double* im, std::size_t n,
+                     const double* wr, const double* wi) {
+  // Vector lanes are adjacent butterflies k, k+1 of one group: each lane
+  // runs the reference butterfly on its own operands. The h == 1 stage
+  // has a single butterfly per group and stays scalar.
+  for (std::size_t h = 1; h < n; h <<= 1) {
+    const double* sr = wr + (h - 1);
+    const double* si = wi + (h - 1);
+    for (std::size_t i = 0; i < n; i += 2 * h) {
+      double* ar = re + i;
+      double* ai = im + i;
+      double* br = ar + h;
+      double* bi = ai + h;
+      if (h == 1) {
+        const double vr = br[0] * sr[0] - bi[0] * si[0];
+        const double vi = br[0] * si[0] + bi[0] * sr[0];
+        const double ur = ar[0];
+        const double ui = ai[0];
+        ar[0] = ur + vr;
+        ai[0] = ui + vi;
+        br[0] = ur - vr;
+        bi[0] = ui - vi;
+        continue;
+      }
+      for (std::size_t k = 0; k < h; k += 2) {
+        const __m128d xr = _mm_loadu_pd(br + k);
+        const __m128d xi = _mm_loadu_pd(bi + k);
+        const __m128d tr = _mm_loadu_pd(sr + k);
+        const __m128d ti = _mm_loadu_pd(si + k);
+        const __m128d vr = _mm_sub_pd(_mm_mul_pd(xr, tr), _mm_mul_pd(xi, ti));
+        const __m128d vi = _mm_add_pd(_mm_mul_pd(xr, ti), _mm_mul_pd(xi, tr));
+        const __m128d ur = _mm_loadu_pd(ar + k);
+        const __m128d ui = _mm_loadu_pd(ai + k);
+        _mm_storeu_pd(ar + k, _mm_add_pd(ur, vr));
+        _mm_storeu_pd(ai + k, _mm_add_pd(ui, vi));
+        _mm_storeu_pd(br + k, _mm_sub_pd(ur, vr));
+        _mm_storeu_pd(bi + k, _mm_sub_pd(ui, vi));
+      }
+    }
+  }
+}
+
 const KernelTable kSse2Table = {
-    &segcorr_sse2, &dual_tone_sse2, &cmac_sse2, &fir_real_sse2,
-    &fir_cplx_sse2,
+    &segcorr_sse2,  &dual_tone_sse2, &cmac_sse2,
+    &fir_real_sse2, &fir_cplx_sse2,  &fft_stages_sse2,
 };
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include "dsp/rng.hpp"
 
+#include <cassert>
 #include <cmath>
 #include <cstdlib>
 
@@ -40,15 +41,42 @@ std::uint64_t derive_seed(std::uint64_t seed, std::string_view stream_name) {
   return Rng(seed, stream_name).next_u64();
 }
 
+namespace {
+
+// The xoshiro256++ state as four scalars. The fills copy Rng::s_ into one
+// of these for a whole block, so the compiler keeps the state in
+// registers instead of loading and storing the member on every draw.
+struct Xoshiro {
+  std::uint64_t s0, s1, s2, s3;
+
+  explicit Xoshiro(const std::uint64_t (&s)[4])
+      : s0(s[0]), s1(s[1]), s2(s[2]), s3(s[3]) {}
+  void store(std::uint64_t (&s)[4]) const {
+    s[0] = s0;
+    s[1] = s1;
+    s[2] = s2;
+    s[3] = s3;
+  }
+
+  std::uint64_t next() {
+    const std::uint64_t result = rotl(s0 + s3, 23) + s0;
+    const std::uint64_t t = s1 << 17;
+    s2 ^= s0;
+    s3 ^= s1;
+    s1 ^= s2;
+    s0 ^= s3;
+    s2 ^= t;
+    s3 = rotl(s3, 45);
+    return result;
+  }
+};
+
+}  // namespace
+
 std::uint64_t Rng::next_u64() {
-  const std::uint64_t result = rotl(s_[0] + s_[3], 23) + s_[0];
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
+  Xoshiro x(s_);
+  const std::uint64_t result = x.next();
+  x.store(s_);
   return result;
 }
 
@@ -108,16 +136,22 @@ const ZigguratTables& ziggurat() {
   return tables;
 }
 
+// The accept test of one ziggurat draw: inside the layer rectangle the
+// variate is hz * wn[iz], with no further draws. False sends the caller to
+// the out-of-line gaussian_reject(hz).
+bool ziggurat_accept(const ZigguratTables& z, std::int32_t hz, double& g) {
+  const std::size_t iz = static_cast<std::uint32_t>(hz) & 127u;
+  if (std::abs(static_cast<std::int64_t>(hz)) >= z.kn[iz]) return false;
+  g = hz * z.wn[iz];
+  return true;
+}
+
 }  // namespace
 
-double Rng::gaussian() {
+[[gnu::noinline]] double Rng::gaussian_reject(std::int32_t hz) {
   const ZigguratTables& z = ziggurat();
   for (;;) {
-    const auto hz = static_cast<std::int32_t>(next_u64());
     const std::size_t iz = static_cast<std::uint32_t>(hz) & 127u;
-    if (std::abs(static_cast<std::int64_t>(hz)) < z.kn[iz]) {
-      return hz * z.wn[iz];  // inside the layer rectangle: accept
-    }
     if (iz == 0) {
       // Tail beyond kR (Marsaglia's exact tail method).
       double x, y;
@@ -133,7 +167,17 @@ double Rng::gaussian() {
         std::exp(-0.5 * x * x)) {
       return x;
     }
+    hz = static_cast<std::int32_t>(next_u64());
+    double g = 0.0;
+    if (ziggurat_accept(z, hz, g)) return g;
   }
+}
+
+double Rng::gaussian() {
+  const auto hz = static_cast<std::int32_t>(next_u64());
+  double g = 0.0;
+  if (ziggurat_accept(ziggurat(), hz, g)) [[likely]] return g;
+  return gaussian_reject(hz);
 }
 
 double Rng::gaussian(double mean, double stddev) {
@@ -150,27 +194,51 @@ cplx Rng::random_phase() {
   return {std::cos(phi), std::sin(phi)};
 }
 
-// The fill loops below are the batched ziggurat: gaussian() is defined in
-// this TU, so the compiler inlines it here and hoists the table pointer
-// and the per-sample amplitude out of the loop — the common accept path
-// collapses to draw/mask/compare/multiply per variate. The rare
-// wedge/tail rejections run the identical code `gaussian()` runs, so a
-// fill consumes exactly the same stream draws as the equivalent sequence
-// of scalar calls.
+// The fills draw exactly the variates, in exactly the order, of the
+// equivalent scalar calls: re then im, sample by sample, each scaled as
+// s * (hz * wn[iz]). The loop inlines only the accept path (one draw, a
+// mask, a compare and a multiply) and runs it on a register copy of the
+// stream state. The rare wedge/tail draw syncs that copy through s_ and
+// runs the same out-of-line gaussian_reject() that gaussian() runs.
+template <class Amplitude>
+void Rng::fill_pairs(double* re, double* im, std::size_t stride,
+                     std::size_t n, Amplitude amplitude) {
+  const ZigguratTables& z = ziggurat();
+  Xoshiro x(s_);
+  const auto draw = [&] {
+    const auto hz = static_cast<std::int32_t>(x.next());
+    double g = 0.0;
+    if (ziggurat_accept(z, hz, g)) [[likely]] return g;
+    x.store(s_);
+    g = gaussian_reject(hz);
+    x = Xoshiro(s_);
+    return g;
+  };
+  for (std::size_t i = 0; i < n; ++i) {
+    const double s = amplitude(i);
+    re[i * stride] = s * draw();
+    im[i * stride] = s * draw();
+  }
+  x.store(s_);
+}
 
 void Rng::fill_awgn(MutSampleView out, double power) {
   const double s = std::sqrt(power / 2.0);
-  for (auto& x : out) x = {s * gaussian(), s * gaussian()};
+  // std::complex<double> is layout-compatible with double[2].
+  auto* d = reinterpret_cast<double*>(out.data());
+  fill_pairs(d, d + 1, 2, out.size(), [s](std::size_t) { return s; });
 }
 
 void Rng::fill_awgn(MutSoaView out, double power) {
   const double s = std::sqrt(power / 2.0);
-  double* re = out.re;
-  double* im = out.im;
-  for (std::size_t i = 0; i < out.n; ++i) {
-    re[i] = s * gaussian();
-    im[i] = s * gaussian();
-  }
+  fill_pairs(out.re, out.im, 1, out.n, [s](std::size_t) { return s; });
+}
+
+void Rng::fill_cgaussian(MutSoaView out, std::span<const double> variance) {
+  assert(variance.size() == out.n);
+  fill_pairs(out.re, out.im, 1, out.n, [variance](std::size_t i) {
+    return std::sqrt(variance[i] / 2.0);
+  });
 }
 
 bool Rng::bernoulli(double p) { return uniform() < p; }

@@ -8,6 +8,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <string_view>
 
 #include "dsp/types.hpp"
@@ -58,6 +59,11 @@ class Rng {
   /// noise from the same stream state.
   void fill_awgn(MutSoaView out, double power);
 
+  /// Per-sample variance: out[k] = cgaussian(variance[k]) for every k, in
+  /// that order, bit-identical to the scalar calls. `variance` must hold
+  /// out.n values. The jamming generator draws its per-bin noise here.
+  void fill_cgaussian(MutSoaView out, std::span<const double> variance);
+
   /// True with probability p.
   bool bernoulli(double p);
 
@@ -72,6 +78,17 @@ class Rng {
   }
 
  private:
+  /// The shared batched draw loop behind the fills: pair i is written to
+  /// re[i * stride], im[i * stride] as amplitude(i) * gaussian(), with the
+  /// stream state held in registers for the whole block.
+  template <class Amplitude>
+  void fill_pairs(double* re, double* im, std::size_t stride, std::size_t n,
+                  Amplitude amplitude);
+
+  /// The ziggurat's rare path after draw `hz` missed its layer rectangle:
+  /// the wedge and tail tests, and any redraws they need.
+  double gaussian_reject(std::int32_t hz);
+
   std::uint64_t s_[4];
 };
 

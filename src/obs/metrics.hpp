@@ -159,7 +159,7 @@ struct ThreadState {
 };
 
 namespace detail {
-extern thread_local ThreadState* t_state;
+extern constinit thread_local ThreadState* t_state;
 }  // namespace detail
 
 inline ThreadState* tls() { return detail::t_state; }

@@ -11,7 +11,6 @@
 
 namespace hs::shield {
 
-using dsp::cplx;
 using dsp::Samples;
 
 std::vector<double> fsk_power_profile(const phy::FskParams& fsk,
@@ -154,21 +153,17 @@ void JammingSignalGenerator::set_profile(JamProfile profile) {
 }
 
 void JammingSignalGenerator::refill() {
-  // Bins are drawn in AoS order (one cgaussian per bin, exactly as
-  // before) so the RNG stream is unchanged; the IFFT output is then
-  // deinterleaved once per fft_size_ samples into the split buffer the
-  // slicing below (and SoA consumers) read plane-wise.
-  Samples bins(fft_size_);
-  for (std::size_t k = 0; k < fft_size_; ++k) {
-    bins[k] = rng_.cgaussian(weights_[k]);
-  }
-  dsp::ifft_inplace(bins);
+  // One cgaussian per bin, drawn straight into the split buffer the
+  // slicing below (and SoA consumers) read plane-wise, then an in-place
+  // IFFT and the amplitude scale.
   buffer_.resize(fft_size_);
+  rng_.fill_cgaussian(buffer_.view(), weights_);
+  dsp::ifft_inplace(buffer_.view());
   double* re = buffer_.re();
   double* im = buffer_.im();
   for (std::size_t k = 0; k < fft_size_; ++k) {
-    re[k] = bins[k].real() * scale_;
-    im[k] = bins[k].imag() * scale_;
+    re[k] *= scale_;
+    im[k] *= scale_;
   }
   buffer_pos_ = 0;
 }

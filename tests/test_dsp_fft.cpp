@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "dsp/fft.hpp"
+#include "dsp/kernels.hpp"
 #include "dsp/rng.hpp"
 
 namespace hs::dsp {
@@ -260,6 +261,86 @@ TEST(Fft, ZeroPadRoundTripIsExplicit) {
   for (std::size_t i = n; i < round.size(); ++i) {
     EXPECT_NEAR(std::abs(round[i]), 0.0, 1e-12);
   }
+}
+
+// The std::complex butterfly loop the split-plane kernel replaced, kept
+// verbatim as the bit-exact pin: same std::polar twiddles, same
+// conjugate-on-the-fly inverse, same `v = b * w; u + v; u - v` order.
+void original_transform(Samples& data, bool inverse) {
+  const std::size_t n = data.size();
+  for (std::size_t i = 1, j = 0; i < n; ++i) {
+    std::size_t bit = n >> 1;
+    for (; j & bit; bit >>= 1) j ^= bit;
+    j ^= bit;
+    if (i < j) std::swap(data[i], data[j]);
+  }
+  if (n < 2) return;
+  Samples tw(n / 2);
+  for (std::size_t k = 0; k < tw.size(); ++k) {
+    tw[k] = std::polar(1.0, -kTwoPi * static_cast<double>(k) /
+                                static_cast<double>(n));
+  }
+  for (std::size_t len = 2; len <= n; len <<= 1) {
+    const std::size_t stride = n / len;
+    for (std::size_t i = 0; i < n; i += len) {
+      for (std::size_t k = 0; k < len / 2; ++k) {
+        const cplx wk = tw[k * stride];
+        const cplx w = inverse ? std::conj(wk) : wk;
+        const cplx u = data[i + k];
+        const cplx v = data[i + k + len / 2] * w;
+        data[i + k] = u + v;
+        data[i + k + len / 2] = u - v;
+      }
+    }
+  }
+  if (inverse) {
+    const double inv_n = 1.0 / static_cast<double>(n);
+    for (auto& x : data) x *= inv_n;
+  }
+}
+
+TEST(Fft, BitIdenticalToOriginalComplexLoopOnEveryBackend) {
+#ifdef __FMA__
+  GTEST_SKIP() << "the test-local reference loop may contract into FMAs "
+                  "here; the kernels are built with -ffp-contract=off";
+#endif
+  const kernels::Backend before = kernels::active_backend();
+  for (kernels::Backend b : {kernels::Backend::kScalar,
+                             kernels::Backend::kSse2,
+                             kernels::Backend::kAvx2}) {
+    if (!kernels::set_backend(b)) continue;
+    for (std::size_t n = 1; n <= 4096; n <<= 1) {
+      for (bool inverse : {false, true}) {
+        Rng rng(n + (inverse ? 1 : 0));
+        Samples want(n);
+        rng.fill_awgn(want, 2.0);
+        Samples aos = want;
+        SoaSamples soa;
+        soa.assign(want);
+        original_transform(want, inverse);
+        if (inverse) {
+          ifft_inplace(aos);
+          ifft_inplace(soa.view());
+        } else {
+          fft_inplace(aos);
+          fft_inplace(soa.view());
+        }
+        for (std::size_t i = 0; i < n; ++i) {
+          EXPECT_EQ(aos[i], want[i]) << kernels::backend_name(b)
+                                     << " n=" << n << " inverse=" << inverse
+                                     << " i=" << i;
+          EXPECT_EQ(soa[i], want[i]) << kernels::backend_name(b)
+                                     << " n=" << n << " inverse=" << inverse
+                                     << " i=" << i;
+        }
+        if (HasFailure()) {
+          kernels::set_backend(before);
+          return;
+        }
+      }
+    }
+  }
+  kernels::set_backend(before);
 }
 
 class FftRoundTrip : public ::testing::TestWithParam<std::size_t> {};

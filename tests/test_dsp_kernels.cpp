@@ -161,6 +161,31 @@ TEST(Kernels, FirBlocksMatchScalarBitForBit) {
   }
 }
 
+TEST(Kernels, FftStagesMatchScalarBitForBit) {
+  for (Backend b : available_backends()) {
+    const KernelTable& t = *backend_table(b);
+    for (std::size_t n = 1; n <= 4096; n <<= 1) {
+      const auto tw_re = random_plane(300 + n, n - 1);
+      const auto tw_im = random_plane(310 + n, n - 1);
+      std::vector<double> tw_conj(tw_im.size());
+      for (std::size_t i = 0; i < tw_im.size(); ++i) tw_conj[i] = -tw_im[i];
+      const std::vector<double>* directions[] = {&tw_im, &tw_conj};
+      for (const std::vector<double>* wi : directions) {
+        auto got_re = random_plane(320 + n, n, 4.0);
+        auto got_im = random_plane(330 + n, n, 4.0);
+        auto want_re = got_re;
+        auto want_im = got_im;
+        t.fft_stages(got_re.data(), got_im.data(), n, tw_re.data(),
+                     wi->data());
+        scalar().fft_stages(want_re.data(), want_im.data(), n, tw_re.data(),
+                            wi->data());
+        EXPECT_EQ(got_re, want_re) << backend_name(b) << " n=" << n;
+        EXPECT_EQ(got_im, want_im) << backend_name(b) << " n=" << n;
+      }
+    }
+  }
+}
+
 // The packed-plane demod formulation (xr*a + xi*b with b pre-negated) must
 // equal the original explicit-subtraction loop, bit for bit.
 TEST(Kernels, DualToneMacMatchesOriginalLoopFormulation) {

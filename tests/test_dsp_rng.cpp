@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "dsp/rng.hpp"
 #include "dsp/power.hpp"
@@ -118,6 +119,55 @@ TEST(Rng, FillAwgnMatchesPower) {
   Samples buf(50000);
   rng.fill_awgn(buf, 0.25);
   EXPECT_NEAR(mean_power(buf), 0.25, 0.01);
+}
+
+// The fills run a register-resident copy of the ziggurat; they must stay
+// the exact sequence of scalar calls they replace, over enough variates
+// (>= 1e6) to reach the out-of-line wedge and tail paths many times.
+TEST(Rng, FillsMatchScalarGaussianCallsBitForBit) {
+  constexpr double kTail = 3.442619855899;  // the ziggurat's tail start
+  Rng aos_rng(16), soa_rng(16), ref(16);
+  std::size_t variates = 0, tails = 0;
+  for (std::size_t block = 0; variates < 1000000; ++block) {
+    const std::size_t n = 1 + block % 97;
+    const double power = 0.25 + static_cast<double>(block % 7);
+    const double s = std::sqrt(power / 2.0);
+    Samples aos(n);
+    SoaSamples soa(n);
+    aos_rng.fill_awgn(aos, power);
+    soa_rng.fill_awgn(soa.view(), power);
+    for (std::size_t i = 0; i < n; ++i) {
+      const double g_re = ref.gaussian();
+      const double g_im = ref.gaussian();
+      tails += (std::abs(g_re) > kTail) + (std::abs(g_im) > kTail);
+      EXPECT_EQ(aos[i].real(), s * g_re);
+      EXPECT_EQ(aos[i].imag(), s * g_im);
+      EXPECT_EQ(soa.re()[i], s * g_re);
+      EXPECT_EQ(soa.im()[i], s * g_im);
+    }
+    ASSERT_FALSE(HasFailure()) << "first mismatch in block " << block;
+    variates += 2 * n;
+  }
+  EXPECT_EQ(aos_rng.state(), ref.state());
+  EXPECT_EQ(soa_rng.state(), ref.state());
+  EXPECT_GT(tails, 100u) << "the run must reach the ziggurat tail path";
+}
+
+TEST(Rng, FillCgaussianMatchesScalarCallsBitForBit) {
+  Rng fill_rng(17), ref(17), weights(18);
+  std::vector<double> variance(256);
+  for (int block = 0; block < 200; ++block) {
+    for (auto& v : variance) v = weights.uniform(0.0, 4.0);
+    SoaSamples out(variance.size());
+    fill_rng.fill_cgaussian(out.view(), variance);
+    for (std::size_t k = 0; k < variance.size(); ++k) {
+      const cplx want = ref.cgaussian(variance[k]);
+      EXPECT_EQ(out.re()[k], want.real());
+      EXPECT_EQ(out.im()[k], want.imag());
+    }
+    ASSERT_FALSE(HasFailure()) << "first mismatch in block " << block;
+  }
+  EXPECT_EQ(fill_rng.state(), ref.state());
 }
 
 TEST(Rng, BernoulliProbability) {
