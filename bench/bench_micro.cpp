@@ -4,6 +4,7 @@
 
 #include "crypto/aead.hpp"
 #include "dsp/fft.hpp"
+#include "dsp/kernels.hpp"
 #include "dsp/rng.hpp"
 #include "mics/channelizer.hpp"
 #include "phy/fsk.hpp"
@@ -113,6 +114,66 @@ void BM_ReceiverFrame(benchmark::State& state) {
                           static_cast<std::int64_t>(sig.size()));
 }
 BENCHMARK(BM_ReceiverFrame);
+
+// The receiver's preamble correlation at one lag: the exact 6-segment
+// kernel over the 576-sample sync reference (48 bits x 12 sps) ...
+constexpr std::size_t kSyncRefLen = 576;
+
+dsp::SoaSamples random_soa(std::uint64_t seed, std::size_t n) {
+  dsp::Rng rng(seed);
+  dsp::SoaSamples out(n);
+  rng.fill_awgn(out.view(), 1.0);
+  return out;
+}
+
+void BM_SyncCorr(benchmark::State& state) {
+  const auto sig = random_soa(11, kSyncRefLen);
+  const auto ref = random_soa(12, kSyncRefLen);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(dsp::kernels::segmented_sync_correlation(
+        sig.re(), sig.im(), ref.re(), ref.im(), kSyncRefLen, 576.0));
+  }
+}
+BENCHMARK(BM_SyncCorr);
+
+// ... and the first two segments the correlation bound reads exactly.
+void BM_SyncCorrHead(benchmark::State& state) {
+  const auto sig = random_soa(11, kSyncRefLen);
+  const auto ref = random_soa(12, kSyncRefLen);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(dsp::kernels::sync_corr_head(
+        sig.re(), sig.im(), ref.re(), ref.im(), kSyncRefLen));
+  }
+}
+BENCHMARK(BM_SyncCorrHead);
+
+// One 48-sample push into a streaming receiver whose input keeps
+// tripping its power gate: noise that steps 30 dB up for 8 symbols out of
+// every 16, so each step pays detection sweeps the way a jammed or busy
+// medium does (a noise-floor stream never reaches the correlation).
+void BM_ReceiverJammed(benchmark::State& state) {
+  phy::FskParams fsk;
+  constexpr std::size_t kBlock = 48;
+  const std::size_t period = 16 * fsk.sps;
+  dsp::Rng rng(9);
+  dsp::SoaSamples stream(100 * period);  // a multiple of kBlock
+  rng.fill_awgn(stream.view(), 1e-3);
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    if (i % period >= period / 2) {
+      stream.re()[i] *= 31.6;
+      stream.im()[i] *= 31.6;
+    }
+  }
+  phy::FskReceiver rx(fsk);
+  std::size_t at = 0;
+  for (auto _ : state) {
+    rx.push(stream.view().subview(at, kBlock));
+    at = (at + kBlock) % stream.size();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kBlock));
+}
+BENCHMARK(BM_ReceiverJammed);
 
 // Jamming synthesis in slices of `range(0)` samples through the split
 // overload the shield runs (48-sample medium blocks in production).

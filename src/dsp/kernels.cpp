@@ -67,6 +67,47 @@ double segcorr_scalar(const double* sig_re, const double* sig_im,
   return acc_mag / std::sqrt(std::max(sig_energy * ref_energy, 1e-30));
 }
 
+SyncCorrHead sync_corr_head_scalar(const double* sig_re, const double* sig_im,
+                                   const double* ref_re, const double* ref_im,
+                                   std::size_t ref_len) {
+  // segcorr_scalar's loop body for s = 0 and 1, stopped before the
+  // magnitude combine.
+  constexpr std::size_t kSegments = 6;
+  constexpr std::size_t kLanes = 4;
+  const std::size_t seg = ref_len / kSegments;
+  double out[2][3];
+  for (std::size_t s = 0; s < 2; ++s) {
+    const std::size_t from = s * seg;
+    const std::size_t to = from + seg;
+    double acc_re[kLanes] = {};
+    double acc_im[kLanes] = {};
+    double energy[kLanes] = {};
+    std::size_t i = from;
+    for (; i + kLanes <= to; i += kLanes) {
+      for (std::size_t l = 0; l < kLanes; ++l) {
+        const double br = sig_re[i + l];
+        const double bi = sig_im[i + l];
+        const double rr = ref_re[i + l];
+        const double ri = ref_im[i + l];
+        acc_re[l] += br * rr + bi * ri;
+        acc_im[l] += bi * rr - br * ri;
+        energy[l] += br * br + bi * bi;
+      }
+    }
+    for (; i < to; ++i) {
+      const double br = sig_re[i];
+      const double bi = sig_im[i];
+      acc_re[0] += br * ref_re[i] + bi * ref_im[i];
+      acc_im[0] += bi * ref_re[i] - br * ref_im[i];
+      energy[0] += br * br + bi * bi;
+    }
+    out[s][0] = (acc_re[0] + acc_re[1]) + (acc_re[2] + acc_re[3]);
+    out[s][1] = (acc_im[0] + acc_im[1]) + (acc_im[2] + acc_im[3]);
+    out[s][2] = (energy[0] + energy[1]) + (energy[2] + energy[3]);
+  }
+  return {out[0][0], out[0][1], out[1][0], out[1][1], out[0][2], out[1][2]};
+}
+
 DualToneAccum dual_tone_scalar(const double* x_re, const double* x_im,
                                const double* tone_a, const double* tone_b,
                                std::size_t n) {
@@ -159,8 +200,9 @@ void fft_stages_scalar(double* re, double* im, std::size_t n,
 }
 
 const KernelTable kScalarTable = {
-    &segcorr_scalar,  &dual_tone_scalar, &cmac_scalar,
-    &fir_real_scalar, &fir_cplx_scalar,  &fft_stages_scalar,
+    &segcorr_scalar,  &sync_corr_head_scalar, &dual_tone_scalar,
+    &cmac_scalar,     &fir_real_scalar,       &fir_cplx_scalar,
+    &fft_stages_scalar,
 };
 
 // ---- runtime dispatch ----------------------------------------------------
@@ -283,6 +325,13 @@ double segmented_sync_correlation(const double* sig_re, const double* sig_im,
                                   std::size_t ref_len, double ref_energy) {
   return dispatch().table->segmented_sync_correlation(
       sig_re, sig_im, ref_re, ref_im, ref_len, ref_energy);
+}
+
+SyncCorrHead sync_corr_head(const double* sig_re, const double* sig_im,
+                            const double* ref_re, const double* ref_im,
+                            std::size_t ref_len) {
+  return dispatch().table->sync_corr_head(sig_re, sig_im, ref_re, ref_im,
+                                          ref_len);
 }
 
 DualToneAccum dual_tone_mac(const double* x_re, const double* x_im,

@@ -1,12 +1,15 @@
 // Hand-vectorized SIMD kernels for the DSP hot paths, behind a runtime
 // dispatch table.
 //
-// The hsbench phase breakdown (`hsbench/run.py --trace 1`; 4-core 2.1 GHz
-// x86-64, AVX2) puts 0.45 of eavesdrop (fig9) trial time in the receiver
-// demod path, 0.25 (eavesdrop) to 0.42 (attack, fig11-trigger) in
-// Medium::mix and 0.05 in jamming synthesis (FFT + per-bin draws). The
-// SoA plane buffers made those loops contiguous-plane arithmetic, and
-// this layer is where they become real vector instructions on purpose.
+// The hsbench phase breakdown (`hsbench/run.py --trace 1 --seed 41`;
+// 4-core x86-64 Xeon, AVX2) puts 0.32 of eavesdrop (fig9) and 0.27 of
+// attack (fig11-trigger) trial time in the receiver demod path (0.44 and
+// 0.30 before the receiver's correlation bound settled ~92% of swept
+// lags without segmented_sync_correlation), 0.31 (eavesdrop) to 0.44
+// (attack) in Medium::mix and 0.07 in jamming synthesis (FFT + per-bin
+// draws). The SoA plane buffers made those loops contiguous-plane
+// arithmetic, and this layer is where they become real vector
+// instructions on purpose.
 //
 // Contract — every backend is BIT-EXACT against the scalar reference:
 //  * The scalar implementations in kernels.cpp are the pinned reference;
@@ -71,6 +74,27 @@ bool set_backend(Backend b);
 double segmented_sync_correlation(const double* sig_re, const double* sig_im,
                                   const double* ref_re, const double* ref_im,
                                   std::size_t ref_len, double ref_energy);
+
+/// The first two segments of segmented_sync_correlation, unreduced: their
+/// complex correlations c0, c1 and signal energies e0, e1.
+struct SyncCorrHead {
+  double c0_re = 0.0;
+  double c0_im = 0.0;
+  double c1_re = 0.0;
+  double c1_im = 0.0;
+  double e0 = 0.0;
+  double e1 = 0.0;
+};
+
+/// Segments 0 and 1 of segmented_sync_correlation over the same
+/// geometry (segment stride ref_len / 6, 4 lanes, tail into lane 0,
+/// pairwise lane reduction), so each field is bit-equal to the value the
+/// full kernel computes for that segment on every backend. The
+/// receiver's correlation bound (phy/sync_bound.hpp) reads these exactly
+/// and bounds the other four segments by Cauchy-Schwarz.
+SyncCorrHead sync_corr_head(const double* sig_re, const double* sig_im,
+                            const double* ref_re, const double* ref_im,
+                            std::size_t ref_len);
 
 /// Accumulators of the dual-tone noncoherent FSK symbol MAC.
 struct DualToneAccum {
@@ -141,6 +165,8 @@ struct KernelTable {
   double (*segmented_sync_correlation)(const double*, const double*,
                                        const double*, const double*,
                                        std::size_t, double);
+  SyncCorrHead (*sync_corr_head)(const double*, const double*, const double*,
+                                 const double*, std::size_t);
   DualToneAccum (*dual_tone_mac)(const double*, const double*, const double*,
                                  const double*, std::size_t);
   void (*cmac)(double*, double*, const double*, const double*, double,

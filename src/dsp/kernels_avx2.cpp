@@ -69,6 +69,52 @@ double segcorr_avx2(const double* sig_re, const double* sig_im,
   return acc_mag / std::sqrt(std::max(sig_energy * ref_energy, 1e-30));
 }
 
+SyncCorrHead sync_corr_head_avx2(const double* sig_re, const double* sig_im,
+                                 const double* ref_re, const double* ref_im,
+                                 std::size_t ref_len) {
+  // segcorr_avx2's loop body for s = 0 and 1, stopped before the
+  // magnitude combine.
+  constexpr std::size_t kSegments = 6;
+  constexpr std::size_t kLanes = 4;
+  const std::size_t seg = ref_len / kSegments;
+  double out[2][3];
+  for (std::size_t s = 0; s < 2; ++s) {
+    const std::size_t from = s * seg;
+    const std::size_t to = from + seg;
+    __m256d vre = _mm256_setzero_pd();
+    __m256d vim = _mm256_setzero_pd();
+    __m256d ven = _mm256_setzero_pd();
+    std::size_t i = from;
+    for (; i + kLanes <= to; i += kLanes) {
+      const __m256d br = _mm256_loadu_pd(sig_re + i);
+      const __m256d bi = _mm256_loadu_pd(sig_im + i);
+      const __m256d rr = _mm256_loadu_pd(ref_re + i);
+      const __m256d ri = _mm256_loadu_pd(ref_im + i);
+      vre = _mm256_add_pd(vre, _mm256_add_pd(_mm256_mul_pd(br, rr),
+                                             _mm256_mul_pd(bi, ri)));
+      vim = _mm256_add_pd(vim, _mm256_sub_pd(_mm256_mul_pd(bi, rr),
+                                             _mm256_mul_pd(br, ri)));
+      ven = _mm256_add_pd(ven, _mm256_add_pd(_mm256_mul_pd(br, br),
+                                             _mm256_mul_pd(bi, bi)));
+    }
+    double acc_re[kLanes], acc_im[kLanes], energy[kLanes];
+    _mm256_storeu_pd(acc_re, vre);
+    _mm256_storeu_pd(acc_im, vim);
+    _mm256_storeu_pd(energy, ven);
+    for (; i < to; ++i) {
+      const double br = sig_re[i];
+      const double bi = sig_im[i];
+      acc_re[0] += br * ref_re[i] + bi * ref_im[i];
+      acc_im[0] += bi * ref_re[i] - br * ref_im[i];
+      energy[0] += br * br + bi * bi;
+    }
+    out[s][0] = (acc_re[0] + acc_re[1]) + (acc_re[2] + acc_re[3]);
+    out[s][1] = (acc_im[0] + acc_im[1]) + (acc_im[2] + acc_im[3]);
+    out[s][2] = (energy[0] + energy[1]) + (energy[2] + energy[3]);
+  }
+  return {out[0][0], out[0][1], out[1][0], out[1][1], out[0][2], out[1][2]};
+}
+
 DualToneAccum dual_tone_avx2(const double* x_re, const double* x_im,
                              const double* tone_a, const double* tone_b,
                              std::size_t n) {
@@ -235,8 +281,8 @@ void fft_stages_avx2(double* re, double* im, std::size_t n,
 }
 
 const KernelTable kAvx2Table = {
-    &segcorr_avx2,  &dual_tone_avx2, &cmac_avx2,
-    &fir_real_avx2, &fir_cplx_avx2,  &fft_stages_avx2,
+    &segcorr_avx2,   &sync_corr_head_avx2, &dual_tone_avx2,  &cmac_avx2,
+    &fir_real_avx2,  &fir_cplx_avx2,       &fft_stages_avx2,
 };
 
 }  // namespace

@@ -83,6 +83,65 @@ double segcorr_sse2(const double* sig_re, const double* sig_im,
   return acc_mag / std::sqrt(std::max(sig_energy * ref_energy, 1e-30));
 }
 
+SyncCorrHead sync_corr_head_sse2(const double* sig_re, const double* sig_im,
+                                 const double* ref_re, const double* ref_im,
+                                 std::size_t ref_len) {
+  // segcorr_sse2's loop body for s = 0 and 1, stopped before the
+  // magnitude combine.
+  constexpr std::size_t kSegments = 6;
+  constexpr std::size_t kLanes = 4;
+  const std::size_t seg = ref_len / kSegments;
+  double out[2][3];
+  for (std::size_t s = 0; s < 2; ++s) {
+    const std::size_t from = s * seg;
+    const std::size_t to = from + seg;
+    __m128d vre01 = _mm_setzero_pd(), vre23 = _mm_setzero_pd();
+    __m128d vim01 = _mm_setzero_pd(), vim23 = _mm_setzero_pd();
+    __m128d ven01 = _mm_setzero_pd(), ven23 = _mm_setzero_pd();
+    std::size_t i = from;
+    for (; i + kLanes <= to; i += kLanes) {
+      const __m128d br0 = _mm_loadu_pd(sig_re + i);
+      const __m128d br1 = _mm_loadu_pd(sig_re + i + 2);
+      const __m128d bi0 = _mm_loadu_pd(sig_im + i);
+      const __m128d bi1 = _mm_loadu_pd(sig_im + i + 2);
+      const __m128d rr0 = _mm_loadu_pd(ref_re + i);
+      const __m128d rr1 = _mm_loadu_pd(ref_re + i + 2);
+      const __m128d ri0 = _mm_loadu_pd(ref_im + i);
+      const __m128d ri1 = _mm_loadu_pd(ref_im + i + 2);
+      vre01 = _mm_add_pd(vre01, _mm_add_pd(_mm_mul_pd(br0, rr0),
+                                           _mm_mul_pd(bi0, ri0)));
+      vre23 = _mm_add_pd(vre23, _mm_add_pd(_mm_mul_pd(br1, rr1),
+                                           _mm_mul_pd(bi1, ri1)));
+      vim01 = _mm_add_pd(vim01, _mm_sub_pd(_mm_mul_pd(bi0, rr0),
+                                           _mm_mul_pd(br0, ri0)));
+      vim23 = _mm_add_pd(vim23, _mm_sub_pd(_mm_mul_pd(bi1, rr1),
+                                           _mm_mul_pd(br1, ri1)));
+      ven01 = _mm_add_pd(ven01, _mm_add_pd(_mm_mul_pd(br0, br0),
+                                           _mm_mul_pd(bi0, bi0)));
+      ven23 = _mm_add_pd(ven23, _mm_add_pd(_mm_mul_pd(br1, br1),
+                                           _mm_mul_pd(bi1, bi1)));
+    }
+    double acc_re[kLanes], acc_im[kLanes], energy[kLanes];
+    _mm_storeu_pd(acc_re, vre01);
+    _mm_storeu_pd(acc_re + 2, vre23);
+    _mm_storeu_pd(acc_im, vim01);
+    _mm_storeu_pd(acc_im + 2, vim23);
+    _mm_storeu_pd(energy, ven01);
+    _mm_storeu_pd(energy + 2, ven23);
+    for (; i < to; ++i) {
+      const double br = sig_re[i];
+      const double bi = sig_im[i];
+      acc_re[0] += br * ref_re[i] + bi * ref_im[i];
+      acc_im[0] += bi * ref_re[i] - br * ref_im[i];
+      energy[0] += br * br + bi * bi;
+    }
+    out[s][0] = (acc_re[0] + acc_re[1]) + (acc_re[2] + acc_re[3]);
+    out[s][1] = (acc_im[0] + acc_im[1]) + (acc_im[2] + acc_im[3]);
+    out[s][2] = (energy[0] + energy[1]) + (energy[2] + energy[3]);
+  }
+  return {out[0][0], out[0][1], out[1][0], out[1][1], out[0][2], out[1][2]};
+}
+
 DualToneAccum dual_tone_sse2(const double* x_re, const double* x_im,
                              const double* tone_a, const double* tone_b,
                              std::size_t n) {
@@ -240,8 +299,8 @@ void fft_stages_sse2(double* re, double* im, std::size_t n,
 }
 
 const KernelTable kSse2Table = {
-    &segcorr_sse2,  &dual_tone_sse2, &cmac_sse2,
-    &fir_real_sse2, &fir_cplx_sse2,  &fft_stages_sse2,
+    &segcorr_sse2,   &sync_corr_head_sse2, &dual_tone_sse2,  &cmac_sse2,
+    &fir_real_sse2,  &fir_cplx_sse2,       &fft_stages_sse2,
 };
 
 }  // namespace

@@ -21,6 +21,8 @@ constexpr std::array<std::string_view, kCounterCount> kCounterNames = {
     "shards_dead",
     "shards_straggler",
     "tasks_retried",
+    "sync_corr_lags",
+    "sync_corr_exact",
 };
 
 constexpr std::array<std::string_view, kPhaseCount> kPhaseNames = {

@@ -41,8 +41,9 @@ namespace hs::obs {
 /// Schema version of the metrics report (--metrics-json document and the
 /// chunk-stream metrics trailer). v2 added the fault-tolerant dispatch
 /// counters (chunks_redealt, chunks_duplicate, shards_dead,
-/// shards_straggler, tasks_retried).
-inline constexpr int kMetricsVersion = 2;
+/// shards_straggler, tasks_retried); v3 the receiver's sync-correlation
+/// counters (sync_corr_lags, sync_corr_exact).
+inline constexpr int kMetricsVersion = 3;
 
 enum class Counter : unsigned {
   kTrials,
@@ -66,6 +67,12 @@ enum class Counter : unsigned {
   kShardsStraggler,
   /// Repair tasks launched by the recovery loop.
   kTasksRetried,
+  /// Preamble-correlation lags a receiver evaluated (correlation memo
+  /// misses in phy::FskReceiver::correlation_at).
+  kSyncCorrLags,
+  /// Of those, the lags the cheap bound could not settle, which ran the
+  /// exact segmented correlation kernel. 1 - exact/lags is the prune rate.
+  kSyncCorrExact,
   kCount_,
 };
 inline constexpr std::size_t kCounterCount =

@@ -1,9 +1,8 @@
 #include "phy/receiver.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <cmath>
+#include <limits>
 
 #include "dsp/correlate.hpp"
 #include "dsp/kernels.hpp"
@@ -31,21 +30,43 @@ BitVec sync_prefix_bits() {
 constexpr std::size_t kHeaderBitsThroughLen =
     (kPreambleBytes + kSyncBytes + kDeviceIdBytes + 3) * 8;
 
+/// What correlation_at reports for a lag the bound settled: below every
+/// threshold, so it can never win a sweep (see try_detect).
+constexpr double kPrunedCorr = -std::numeric_limits<double>::infinity();
+
+dsp::SoaSamples split(const Samples& s) {
+  dsp::SoaSamples out;
+  out.assign(s);
+  return out;
+}
+
+double energy(const dsp::SoaSamples& s) {
+  double e = 0.0;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    e += std::norm(cplx(s.re()[i], s.im()[i]));
+  }
+  return e;
+}
+
 }  // namespace
 
 FskReceiver::FskReceiver(const FskParams& params, ReceiverOptions options)
-    : params_(params), options_(options), demod_(params) {
-  FskModulator mod(params_);
-  sync_waveform_ = mod.modulate(sync_prefix_bits());
-  sync_soa_.assign(sync_waveform_);
-  ref_energy_ = 0.0;
-  for (const cplx& r : sync_waveform_) ref_energy_ += std::norm(r);
-}
+    : params_(params),
+      options_(options),
+      demod_(params),
+      sync_soa_(split(FskModulator(params).modulate(sync_prefix_bits()))),
+      ref_energy_(energy(sync_soa_)),
+      sync_bound_(sync_soa_.re(), sync_soa_.im(), sync_soa_.size(),
+                  ref_energy_),
+      block_energy_(params.sps) {}
+
+void FskReceiver::clear_corr_memo() { corr_memo_.fill(CorrMemoSlot{}); }
 
 void FskReceiver::reset() {
   buffer_.clear();
-  corr_cache_.clear();
+  clear_corr_memo();
   buffer_base_ = total_consumed_;
+  block_energy_.restart(buffer_base_);
   scan_pos_ = 0;
   locked_ = false;
   partial_bits_.clear();
@@ -65,8 +86,7 @@ void FskReceiver::push(dsp::SampleView samples) {
     compact_buffer(scan_pos_ - params_.sps);
   }
   buffer_.append(samples);
-  total_consumed_ += samples.size();
-  scan_after_append();
+  append_done(samples.size());
 }
 
 void FskReceiver::push(dsp::SoaView samples) {
@@ -75,7 +95,13 @@ void FskReceiver::push(dsp::SoaView samples) {
     compact_buffer(scan_pos_ - params_.sps);
   }
   buffer_.append(samples);
-  total_consumed_ += samples.size();
+  append_done(samples.size());
+}
+
+void FskReceiver::append_done(std::size_t appended) {
+  const std::size_t at = buffer_.size() - appended;
+  block_energy_.append(buffer_.re() + at, buffer_.im() + at, appended);
+  total_consumed_ += appended;
   scan_after_append();
 }
 
@@ -109,9 +135,9 @@ std::optional<ReceivedFrame> FskReceiver::pop() {
 
 double FskReceiver::correlation_at(std::size_t lag) const {
   const std::size_t abs_lag = buffer_base_ + lag;
-  if (const auto it = corr_cache_.find(abs_lag); it != corr_cache_.end()) {
-    return it->second;
-  }
+  CorrMemoSlot& slot = corr_memo_[abs_lag % kCorrMemoSlots];
+  if (slot.lag == abs_lag) return slot.corr;
+  obs::count(obs::Counter::kSyncCorrLags);
   // Segmented (noncoherent) correlation: the reference is split into 6
   // segments whose partial correlations are combined by magnitude. A
   // residual carrier-frequency offset rotates the phase across the
@@ -120,18 +146,31 @@ double FskReceiver::correlation_at(std::size_t lag) const {
   // (several hundred Hz) at a negligible noise penalty.
   //
   // This is the receiver's hot loop (every power step on the medium pays a
-  // full sweep of these); the segment/lane arithmetic lives in
-  // dsp::kernels so it can dispatch to real vector instructions while the
-  // scalar reference stays pinned bit-for-bit.
-  const double corr = dsp::kernels::segmented_sync_correlation(
-      buffer_.re() + lag, buffer_.im() + lag, sync_soa_.re(), sync_soa_.im(),
-      sync_waveform_.size(), ref_energy_);
-  corr_cache_.emplace(abs_lag, corr);
+  // full sweep of these). Most swept lags are noise or a misaligned frame,
+  // so the cheap bound (phy/sync_bound.hpp: the first two segments exact,
+  // Cauchy-Schwarz on the rest) settles them first; only lags it cannot
+  // place below the threshold pay for the exact kernel.
+  const std::size_t ref = sync_soa_.size();
+  const std::size_t tail = lag + sync_bound_.tail_begin();
+  double tail_energy = 0.0;
+  double corr = kPrunedCorr;
+  if (!block_energy_.energy(buffer_base_ + tail, abs_lag + ref,
+                            buffer_.re() + tail, buffer_.im() + tail,
+                            &tail_energy) ||
+      !sync_bound_.below(buffer_.re() + lag, buffer_.im() + lag,
+                         sync_soa_.re(), sync_soa_.im(), tail_energy,
+                         options_.detect_threshold)) {
+    obs::count(obs::Counter::kSyncCorrExact);
+    corr = dsp::kernels::segmented_sync_correlation(
+        buffer_.re() + lag, buffer_.im() + lag, sync_soa_.re(),
+        sync_soa_.im(), ref, ref_energy_);
+  }
+  slot = {abs_lag, corr};
   return corr;
 }
 
 void FskReceiver::try_detect() {
-  const std::size_t ref = sync_waveform_.size();
+  const std::size_t ref = sync_soa_.size();
   const std::size_t sps = params_.sps;
   // Stride over the buffer one symbol at a time. A cheap adaptive power
   // gate decides whether to pay for correlation: the medium is idle (or at
@@ -173,6 +212,17 @@ void FskReceiver::try_detect() {
       continue;
     }
     // The rise happened within the last two symbols; sweep those lags.
+    //
+    // correlation_at reports kPrunedCorr instead of the value for lags
+    // its bound proves below detect_threshold. That cannot change a
+    // decision: the sweep only acts when best_corr reaches the threshold,
+    // and then `best` is the first lag attaining the maximum, which is at
+    // or above the threshold, so every lag below it (pruned or not) loses
+    // each `c > best_corr` comparison either way. The alias climb starts
+    // from that best_corr and likewise only moves to a larger value. So
+    // best, lock_start_ and every output byte are what the exact kernel
+    // alone would give, and every value >= threshold that reaches
+    // best_corr comes from the exact kernel.
     const std::size_t sweep_lo = scan_pos_ >= sps ? scan_pos_ - sps : 0;
     const std::size_t sweep_hi = scan_pos_ + sps;
 
@@ -202,10 +252,6 @@ void FskReceiver::try_detect() {
         best_corr = c;
         best = lag;
       }
-    }
-    if (std::getenv("HS_RX_DEBUG") != nullptr) {
-      std::fprintf(stderr, "LOCK at %zu corr=%.3f scan=%zu\n",
-                   buffer_base_ + best, best_corr, buffer_base_ + scan_pos_);
     }
     locked_ = true;
     lock_start_ = buffer_base_ + best;
@@ -293,13 +339,7 @@ void FskReceiver::compact_buffer(std::size_t keep_from) {
   buffer_.erase_front(drop);
   buffer_base_ += drop;
   scan_pos_ = (scan_pos_ >= drop) ? scan_pos_ - drop : 0;
-  // Unordered iteration is deliberate and safe here (LINT.toml
-  // unordered-iteration allow entry): the predicate depends only on the
-  // key, so the pruned set — and every later lookup — is independent of
-  // bucket visit order. See the audit note on corr_cache_'s declaration.
-  std::erase_if(corr_cache_, [this](const auto& entry) {
-    return entry.first < buffer_base_;
-  });
+  block_energy_.trim(buffer_base_);
 }
 
 void save_received_frame(snapshot::StateWriter& w, const ReceivedFrame& f) {
@@ -387,8 +427,11 @@ void FskReceiver::load_state(snapshot::StateReader& r) {
     output_.push_back(load_received_frame(r));
   }
   // The memo holds values for lags of the *previous* stream; they would
-  // be stale (and the restored stream recomputes its own exactly).
-  corr_cache_.clear();
+  // be stale (and the restored stream recomputes its own exactly). The
+  // energy plane is rebuilt from the restored buffer.
+  clear_corr_memo();
+  block_energy_.restart(buffer_base_);
+  block_energy_.append(buffer_.re(), buffer_.im(), buffer_.size());
   r.end("fsk-receiver");
 }
 

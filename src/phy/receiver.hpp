@@ -11,16 +11,17 @@
 // shield must make jam/no-jam decisions *mid-packet* (paper section 7).
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <deque>
 #include <functional>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "dsp/types.hpp"
 #include "phy/frame.hpp"
 #include "phy/fsk.hpp"
+#include "phy/sync_bound.hpp"
 
 namespace hs::snapshot {
 class StateWriter;
@@ -95,11 +96,12 @@ class FskReceiver {
 
   /// Warm-state snapshot round trip of the full streaming state: scan
   /// buffer planes, lock/partial-frame state, adaptive noise floor and
-  /// the output queue. The correlation memo is deliberately NOT
-  /// serialized — it is a pure function of the (restored) sample stream,
-  /// so a restored receiver recomputes identical values and makes
-  /// identical decisions. The load target must share this receiver's
-  /// FskParams (modem geometry is configuration, not state).
+  /// the output queue. The correlation memo and the block-energy plane
+  /// are deliberately NOT serialized — both are pure functions of the
+  /// (restored) sample stream, so a restored receiver recomputes
+  /// identical values and makes identical decisions. The load target
+  /// must share this receiver's FskParams (modem geometry is
+  /// configuration, not state).
   void save_state(snapshot::StateWriter& w) const;
   void load_state(snapshot::StateReader& r);
 
@@ -109,7 +111,17 @@ class FskReceiver {
   /// Compact the scan buffer once the cursor is this far in (bounds the
   /// buffer near 64 KiB during noise-only stretches).
   static constexpr std::size_t kCompactScanSamples = 4096;
+  /// Slots of the correlation memo (direct-mapped by absolute lag). One
+  /// gated sweep spans 2 * sps + 1 lags and its alias climb 6 * sps more,
+  /// so consecutive sweeps and the climb stay within one 128-lag span.
+  static constexpr std::size_t kCorrMemoSlots = 128;
 
+  struct CorrMemoSlot {
+    std::size_t lag = static_cast<std::size_t>(-1);  ///< absolute; -1 empty
+    double corr = 0.0;
+  };
+
+  void append_done(std::size_t appended);
   void try_detect();
   void demodulate_available();
   void finish_frame(const DecodeResult& decode);
@@ -117,33 +129,28 @@ class FskReceiver {
   void compact_buffer(std::size_t keep_from);
   void scan_after_append();
   double correlation_at(std::size_t lag) const;
+  void clear_corr_memo();
 
   FskParams params_;
   ReceiverOptions options_;
   NoncoherentFskDemod demod_;
-  dsp::Samples sync_waveform_;       ///< modulated preamble+sync reference
-  dsp::SoaSamples sync_soa_;         ///< split copy of the reference
+  dsp::SoaSamples sync_soa_;  ///< modulated preamble+sync reference
   double ref_energy_ = 0.0;
+  SyncCorrBound sync_bound_;  ///< pre-check of correlation_at (below)
   double noise_floor_ = 0.0;  ///< adaptive per-sample power floor
   bool floor_ready_ = false;
 
   dsp::SoaSamples buffer_;       ///< samples not yet fully consumed (SoA)
   std::size_t buffer_base_ = 0;  ///< absolute index of buffer_[0]
+  /// Per-symbol signal energy of the buffered stream, for the bound.
+  BlockEnergyPlane block_energy_;
   /// Memo of correlation_at results keyed by absolute lag. The
   /// correlation is a pure function of the (append-only) sample stream,
   /// and consecutive detection sweeps overlap roughly half their lags
-  /// during noise-floor adaptation runs, so reusing the exact values
-  /// halves the receiver's dominant cost without changing a single
-  /// decision. Pruned on buffer compaction.
-  ///
-  /// Ordering audit (determinism linter: unordered-iteration allow
-  /// entry in LINT.toml): the only iteration is the erase_if prune in
-  /// compact_buffer(), which removes entries by a pure key predicate
-  /// (lag < buffer_base_). The surviving *set* is identical whatever
-  /// order the buckets are visited in, values are never read during the
-  /// sweep, and cached values are bit-identical to recomputation — so
-  /// bucket order cannot reach any decision or output byte.
-  mutable std::unordered_map<std::size_t, double> corr_cache_;
+  /// during noise-floor adaptation runs, so reusing the values halves the
+  /// sweep cost without changing a single decision. A slot is overwritten
+  /// by the next lag that maps to it; reset() and load_state() empty it.
+  mutable std::array<CorrMemoSlot, kCorrMemoSlots> corr_memo_{};
   std::size_t total_consumed_ = 0;
   std::size_t scan_pos_ = 0;  ///< buffer-relative scan cursor when unlocked
 

@@ -8,6 +8,7 @@
 // test-local reference loops with EXPECT_EQ as well.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
 #include <cstddef>
@@ -78,6 +79,28 @@ TEST(Kernels, SegmentedSyncCorrelationMatchesScalarBitForBit) {
       const double want = scalar().segmented_sync_correlation(
           sr.data(), si.data(), rr.data(), ri.data(), n, ref_energy);
       EXPECT_EQ(got, want) << backend_name(b) << " n=" << n;
+    }
+  }
+}
+
+TEST(Kernels, SyncCorrHeadMatchesScalarBitForBit) {
+  for (Backend b : available_backends()) {
+    const KernelTable& t = *backend_table(b);
+    for (std::size_t n : kSizes) {
+      const auto sr = random_plane(50 + n, n + 8);
+      const auto si = random_plane(60 + n, n + 8);
+      const auto rr = random_plane(70 + n, n);
+      const auto ri = random_plane(80 + n, n);
+      const SyncCorrHead got =
+          t.sync_corr_head(sr.data(), si.data(), rr.data(), ri.data(), n);
+      const SyncCorrHead want = scalar().sync_corr_head(
+          sr.data(), si.data(), rr.data(), ri.data(), n);
+      EXPECT_EQ(got.c0_re, want.c0_re) << backend_name(b) << " n=" << n;
+      EXPECT_EQ(got.c0_im, want.c0_im) << backend_name(b) << " n=" << n;
+      EXPECT_EQ(got.c1_re, want.c1_re) << backend_name(b) << " n=" << n;
+      EXPECT_EQ(got.c1_im, want.c1_im) << backend_name(b) << " n=" << n;
+      EXPECT_EQ(got.e0, want.e0) << backend_name(b) << " n=" << n;
+      EXPECT_EQ(got.e1, want.e1) << backend_name(b) << " n=" << n;
     }
   }
 }
@@ -239,6 +262,46 @@ TEST(KernelsEdge, ShortReferenceFewerThanSegments) {
     const double got = backend_table(b)->segmented_sync_correlation(
         sr.data(), si.data(), rr.data(), ri.data(), n, ref_energy);
     EXPECT_EQ(got, want) << "backend " << backend_name(b);
+  }
+}
+
+// sync_corr_head is segments 0 and 1 of segmented_sync_correlation, on
+// the same geometry: with signal and reference zero past segment 1, the
+// full kernel's value is exactly (|c0| + |c1|) / sqrt(max((e0 + e1) *
+// Eref, 1e-30)). Short and odd lengths cover a zero segment stride
+// (n < 6: both head segments empty), stride 1, and remainders that land
+// in the last segment.
+TEST(KernelsEdge, SyncCorrHeadIsTheKernelsFirstTwoSegments) {
+  for (const std::size_t n : {0u, 1u, 5u, 6u, 7u, 11u, 13u, 23u, 97u, 577u}) {
+    const std::size_t head_len = 2 * (n / 6);
+    auto sr = random_plane(300 + n, n);
+    auto si = random_plane(310 + n, n);
+    auto rr = random_plane(320 + n, n);
+    auto ri = random_plane(330 + n, n);
+    for (std::size_t i = head_len; i < n; ++i) {
+      sr[i] = si[i] = rr[i] = ri[i] = 0.0;
+    }
+    double ref_energy = 0.0;
+    for (std::size_t i = 0; i < n; ++i)
+      ref_energy += rr[i] * rr[i] + ri[i] * ri[i];
+    for (Backend b : available_backends()) {
+      const KernelTable& t = *backend_table(b);
+      const SyncCorrHead h =
+          t.sync_corr_head(sr.data(), si.data(), rr.data(), ri.data(), n);
+      const double mag = std::sqrt(h.c0_re * h.c0_re + h.c0_im * h.c0_im) +
+                         std::sqrt(h.c1_re * h.c1_re + h.c1_im * h.c1_im);
+      const double want =
+          mag / std::sqrt(std::max((h.e0 + h.e1) * ref_energy, 1e-30));
+      EXPECT_EQ(t.segmented_sync_correlation(sr.data(), si.data(), rr.data(),
+                                             ri.data(), n, ref_energy),
+                want)
+          << backend_name(b) << " n=" << n;
+      if (head_len == 0) {
+        EXPECT_EQ(h.c0_re, 0.0);
+        EXPECT_EQ(h.c1_im, 0.0);
+        EXPECT_EQ(h.e0 + h.e1, 0.0);
+      }
+    }
   }
 }
 

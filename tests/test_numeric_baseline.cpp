@@ -42,6 +42,35 @@ const Pin kPins[] = {
     {"fig9-eaves-ber", 1, "adversary_ber", 0.49056603773584906},
     {"fig9-eaves-ber", 1, "shield_packet_loss", 0.0},
     {"fig5-jam-shaped", 0, "tone_band_fraction", 0.91525394134746518},
+    // Active attacks and coexistence: every outcome below is decided by
+    // a receiver lock (the IMD's, the shield's monitor's or the
+    // adversary's), so these pin preamble detection one decision at a time.
+    {"fig11-trigger", 0, "attack_success", 0.0},
+    {"fig11-trigger", 0, "alarm", 0.0},
+    {"fig11-trigger", 0, "battery_mj", 0.0},
+    {"fig11-trigger", 1, "attack_success", 0.0},
+    {"fig11-trigger", 1, "battery_mj", 0.0},
+    {"fig11-trigger", 2, "attack_success", 0.0},
+    {"fig11-trigger", 2, "battery_mj", 0.0},
+    {"fig11-trigger", 3, "attack_success", 0.0},
+    {"fig11-trigger", 3, "alarm", 0.0},
+    {"fig11-trigger", 3, "battery_mj", 0.0},
+    {"fig11-trigger-noshield", 0, "attack_success", 1.0},
+    {"fig11-trigger-noshield", 0, "alarm", 0.0},
+    {"fig11-trigger-noshield", 0, "battery_mj", 0.50880000000000125},
+    {"fig11-trigger-noshield", 1, "attack_success", 0.0},
+    {"fig11-trigger-noshield", 1, "battery_mj", 0.0},
+    {"table2-coexistence", 0, "cross_traffic_jammed", 0.0},
+    {"table2-coexistence", 0, "imd_command_jammed", 1.0},
+    {"table2-coexistence", 0, "turnaround_us", 159.99999999999869},
+    {"table2-coexistence", 1, "cross_traffic_jammed", 0.0},
+    {"table2-coexistence", 1, "imd_command_jammed", 1.0},
+    {"table2-coexistence", 1, "turnaround_us", 159.99999999999869},
+    {"table2-coexistence", 2, "cross_traffic_jammed", 0.0},
+    {"table2-coexistence", 2, "imd_command_jammed", 1.0},
+    // No turnaround sample at location 9 (the shield's last jam end falls
+    // before the adversary's nominal frame end), so the mean stays 0.
+    {"table2-coexistence", 2, "turnaround_us", 0.0},
 };
 
 CampaignResult run_shrunk(const Scenario& s, std::size_t trials) {
@@ -72,6 +101,18 @@ void check_pins(const Scenario& s, const CampaignResult& res) {
 
 TEST(NumericBaseline, EavesdropBerPinned) {
   const Scenario s = shrunk("fig9-eaves-ber", {3.0, 11.0}, 1);
+  check_pins(s, run_shrunk(s, 6));
+}
+
+TEST(NumericBaseline, TriggerAttackPinned) {
+  const Scenario s = shrunk("fig11-trigger", {1.0, 6.0, 10.0, 14.0}, 1);
+  check_pins(s, run_shrunk(s, 12));
+  const Scenario bare = shrunk("fig11-trigger-noshield", {2.0, 14.0}, 1);
+  check_pins(bare, run_shrunk(bare, 4));
+}
+
+TEST(NumericBaseline, CoexistencePinned) {
+  const Scenario s = shrunk("table2-coexistence", {1.0, 5.0, 9.0}, 1);
   check_pins(s, run_shrunk(s, 6));
 }
 

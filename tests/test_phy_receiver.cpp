@@ -2,6 +2,7 @@
 
 #include "dsp/rng.hpp"
 #include "dsp/units.hpp"
+#include "obs/metrics.hpp"
 #include "phy/receiver.hpp"
 #include "snapshot/state_io.hpp"
 
@@ -47,6 +48,33 @@ TEST(Receiver, DecodesFrameInNoise) {
   EXPECT_EQ(frame->start_sample, 2000u);
   EXPECT_EQ(frame->decode.frame.seq, 1);
   EXPECT_FALSE(rx.pop().has_value());
+}
+
+// The sync-correlation counters: every evaluated lag is counted once
+// (memo misses), and the bound settles most of them, so only a minority
+// reach the exact kernel. A frame still decodes.
+TEST(Receiver, CountsEvaluatedAndExactSyncLags) {
+  FskParams fsk;
+  const auto air = make_air(
+      fsk, 12000, {{2000, test_frame()}, {7000, test_frame(2)}}, 1.0, 0.01);
+  obs::MetricsRegistry registry;
+  std::size_t frames = 0;
+  {
+    obs::WorkerScope scope(&registry, nullptr, "rx");
+    FskReceiver rx(fsk);
+    for (std::size_t at = 0; at < air.size(); at += 48) {
+      rx.push(dsp::SampleView(air).subspan(at, 48));
+    }
+    while (auto f = rx.pop()) {
+      if (f->decode.status == DecodeStatus::kOk) ++frames;
+    }
+  }
+  EXPECT_EQ(frames, 2u);
+  const obs::Report r = registry.report();
+  const auto lags = r.counter(obs::Counter::kSyncCorrLags);
+  const auto exact = r.counter(obs::Counter::kSyncCorrExact);
+  EXPECT_GT(exact, 0u);
+  EXPECT_LT(2 * exact, lags) << exact << " exact of " << lags;
 }
 
 TEST(Receiver, RssiMatchesSignalPower) {
