@@ -278,12 +278,11 @@ int main(int argc, char** argv) {
   bool list_mode = false, list_json = false;
   bool recover_mode = false, dispatch_mode = false;
   std::vector<std::string> merge_files;
-  // First run-shaping flag seen, for the merge-mode conflict diagnostic
-  // (merging replays recorded streams; a --seed there would be ignored).
+  // First run-shaping flag seen (--merge rejects it: nothing executes),
+  // and first campaign-identity flag seen (--recover rejects it: the
+  // stream headers fix the identity, while --threads &co still shape
+  // the repair execution).
   const char* run_flag = nullptr;
-  // Campaign-identity flags specifically: --recover takes identity from
-  // the salvaged headers, so these conflict there while --threads &co
-  // (which shape the repair execution) do not.
   const char* identity_flag = nullptr;
 
   for (int i = 1; i < argc; ++i) {
@@ -401,124 +400,34 @@ int main(int argc, char** argv) {
   if (timeout_seconds > 0) options.chunks_completed = &watchdog_chunks;
   Watchdog watchdog(timeout_seconds, "campaign_runner", &watchdog_chunks);
 
-  // ---- recover mode: salvage partial streams, re-run what was lost ----
-  if (recover_mode) {
+  // ---- merge / recover: fold recorded streams through the cover ----
+  // --merge is the strict cover (complete deal streams, no reruns);
+  // --recover also takes salvaged prefixes and re-runs what is missing.
+  if (merge_mode || recover_mode) {
+    const char* mode = merge_mode ? "--merge" : "--recover";
     if (merge_files.empty()) {
-      std::fprintf(stderr,
-                   "--recover needs the chunk-stream files of the "
-                   "(possibly failed) shard runs\n");
+      std::fprintf(stderr, "%s needs the chunk-stream files of the shard "
+                           "runs\n", mode);
       return 1;
     }
     if (!emit_chunks_path.empty() || shard_count > 0 || have_shard_index ||
         !trace_path.empty() || !fault_plan_spec.empty() ||
         !chunks_spec.empty()) {
       std::fprintf(stderr,
-                   "--recover folds existing streams and re-runs only "
-                   "missing chunks; it cannot be combined with "
+                   "%s folds recorded streams; it cannot be combined with "
                    "--emit-chunks, --shards, --shard, --trace, "
-                   "--fault-plan or --chunks\n");
+                   "--fault-plan or --chunks\n",
+                   mode);
       return 1;
     }
-    if (identity_flag != nullptr) {
+    // --merge executes nothing, so every run-shaping flag would be
+    // ignored; --recover's repair run still honours the execution knobs.
+    const char* ignored = merge_mode ? run_flag : identity_flag;
+    if (ignored != nullptr) {
       std::fprintf(stderr,
-                   "--recover takes the campaign identity from the "
-                   "salvaged headers — %s would be silently ignored; "
-                   "drop it (--threads/--no-reuse/--no-snapshot still "
-                   "shape the repair execution)\n",
-                   identity_flag);
-      return 1;
-    }
-    try {
-      std::vector<campaign::SalvagedStream> streams;
-      streams.reserve(merge_files.size());
-      for (const auto& path : merge_files) {
-        streams.push_back(campaign::salvage_chunk_stream_file(path));
-        const auto& s = streams.back();
-        if (s.complete) {
-          std::fprintf(stderr, "recover: %s: complete (%zu chunks)\n",
-                       path.c_str(), s.chunks.size());
-        } else {
-          std::fprintf(stderr, "recover: %s: salvaged %zu chunk(s) — %s\n",
-                       path.c_str(), s.chunks.size(),
-                       s.truncation_reason.c_str());
-        }
-      }
-      const campaign::SalvagedStream* first_valid = nullptr;
-      for (const auto& s : streams) {
-        if (s.header_valid) {
-          first_valid = &s;
-          break;
-        }
-      }
-      if (first_valid == nullptr) {
-        std::fprintf(stderr,
-                     "recover: no stream has a salvageable header\n");
-        return 1;
-      }
-      const campaign::Scenario* scenario =
-          campaign::find_scenario(first_valid->header.scenario);
-      if (!scenario) {
-        std::fprintf(stderr, "unknown scenario '%s' in %s\n",
-                     first_valid->header.scenario.c_str(),
-                     first_valid->source.c_str());
-        return 1;
-      }
-      campaign::DispatchReport drep;
-      const auto result =
-          campaign::recover_campaign(*scenario, options, streams, &drep);
-      campaign::print_summary(stdout, result);
-      std::printf("\n  recovered: %zu stream(s) complete, %zu dead, "
-                  "%zu chunk(s) re-dealt, %zu duplicate(s) suppressed\n",
-                  drep.streams_complete, drep.shards_dead,
-                  drep.chunks_redealt, drep.chunks_duplicate);
-      if (!csv_path.empty() &&
-          !campaign::write_file(csv_path, campaign::to_csv(result))) {
-        return 1;
-      }
-      if (!json_path.empty() &&
-          !campaign::write_file(json_path, campaign::to_json(result))) {
-        return 1;
-      }
-      if (!metrics_json_path.empty()) {
-        const std::string doc = campaign::metrics_report_json(
-            result.scenario.name, result.options.seed, drep.metrics.shards,
-            drep.metrics.threads,
-            static_cast<double>(drep.metrics.wall_ns) / 1e9,
-            drep.metrics.report);
-        if (!campaign::write_file(metrics_json_path, doc)) return 1;
-      }
-    } catch (const campaign::DispatchError& e) {
-      std::fprintf(stderr, "%s\n", e.what());
-      return 1;
-    }
-    return 0;
-  }
-
-  // ---- merge mode: fold shard chunk streams into canonical reports ----
-  if (merge_mode) {
-    if (merge_files.empty()) {
-      std::fprintf(stderr, "--merge needs at least one chunk-stream file\n");
-      return 1;
-    }
-    if (!emit_chunks_path.empty() || shard_count > 0 || have_shard_index) {
-      std::fprintf(stderr,
-                   "--merge folds existing chunk streams; it cannot be "
-                   "combined with --emit-chunks, --shards or --shard\n");
-      return 1;
-    }
-    if (!trace_path.empty()) {
-      std::fprintf(stderr,
-                   "--merge replays recorded streams — there is no live "
-                   "execution to trace; pass --trace to the shard runs "
-                   "instead\n");
-      return 1;
-    }
-    if (run_flag != nullptr) {
-      std::fprintf(stderr,
-                   "--merge replays the streams' recorded campaign — %s "
-                   "would be silently ignored; drop it (the header pins "
-                   "scenario/seed/trials/chunk size)\n",
-                   run_flag);
+                   "%s takes the campaign from the stream headers — %s "
+                   "would be silently ignored; drop it\n",
+                   mode, ignored);
       return 1;
     }
     try {
@@ -526,21 +435,55 @@ int main(int argc, char** argv) {
       streams.reserve(merge_files.size());
       for (const auto& path : merge_files) {
         streams.push_back(campaign::load_chunk_stream(path));
+        const auto& s = streams.back();
+        if (!recover_mode) continue;
+        if (s.complete) {
+          std::fprintf(stderr, "recover: %s: complete (%zu chunks)\n",
+                       path.c_str(), s.chunks.size());
+        } else {
+          // The reason already names the file (and the line at fault).
+          std::fprintf(stderr, "recover: salvaged %zu chunk(s) — %s\n",
+                       s.chunks.size(), s.truncation_reason.c_str());
+        }
       }
-      const campaign::Scenario* scenario =
-          campaign::find_scenario(streams.front().header.scenario);
-      if (!scenario) {
-        std::fprintf(stderr, "unknown scenario '%s' in %s\n",
-                     streams.front().header.scenario.c_str(),
-                     merge_files.front().c_str());
+      const auto first = std::find_if(
+          streams.begin(), streams.end(),
+          [](const campaign::ChunkStream& s) { return s.header_valid; });
+      if (first == streams.end()) {
+        if (merge_mode) campaign::require_complete(streams.front());
+        std::fprintf(stderr, "recover: no stream has a salvageable header\n");
         return 1;
       }
-      campaign::MergedMetrics merged_metrics;
-      const auto result = campaign::merge_chunk_streams(*scenario, streams,
-                                                        &merged_metrics);
+      const campaign::Scenario* scenario =
+          campaign::find_scenario(first->header.scenario);
+      if (!scenario) {
+        std::fprintf(stderr, "unknown scenario '%s' in %s\n",
+                     first->header.scenario.c_str(), first->source.c_str());
+        return 1;
+      }
+      const std::size_t stream_count = streams.size();
+      const std::size_t total_chunks = first->header.total_chunks;
+      campaign::CampaignResult result;
+      campaign::MergedMetrics merged;
+      campaign::DispatchReport drep;
+      if (merge_mode) {
+        result = campaign::merge_chunk_streams(*scenario, std::move(streams),
+                                               &merged);
+      } else {
+        result = campaign::recover_campaign(*scenario, options,
+                                            std::move(streams), &drep);
+        merged = drep.metrics;
+      }
       campaign::print_summary(stdout, result);
-      std::printf("\n  merged %zu shard stream(s), %zu chunks verified\n",
-                  streams.size(), streams.front().header.total_chunks);
+      if (merge_mode) {
+        std::printf("\n  merged %zu shard stream(s), %zu chunks verified\n",
+                    stream_count, total_chunks);
+      } else {
+        std::printf("\n  recovered: %zu stream(s) complete, %zu dead, "
+                    "%zu chunk(s) re-dealt, %zu duplicate(s) suppressed\n",
+                    drep.streams_complete, drep.shards_dead,
+                    drep.chunks_redealt, drep.chunks_duplicate);
+      }
       if (!csv_path.empty() &&
           !campaign::write_file(csv_path, campaign::to_csv(result))) {
         return 1;
@@ -550,17 +493,16 @@ int main(int argc, char** argv) {
         return 1;
       }
       if (!metrics_json_path.empty()) {
-        // Aggregate of the K shard trailers. wall_seconds is the summed
-        // shard wall time (total compute budget, not elapsed time — the
+        // The summed trailers of the complete streams. wall_seconds is
+        // total shard wall time (compute budget, not elapsed time — the
         // shards ran as separate processes, possibly concurrently).
         const std::string doc = campaign::metrics_report_json(
-            result.scenario.name, result.options.seed, merged_metrics.shards,
-            merged_metrics.threads,
-            static_cast<double>(merged_metrics.wall_ns) / 1e9,
-            merged_metrics.report);
+            result.scenario.name, result.options.seed, merged.shards,
+            merged.threads, static_cast<double>(merged.wall_ns) / 1e9,
+            merged.report);
         if (!campaign::write_file(metrics_json_path, doc)) return 1;
       }
-    } catch (const campaign::ChunkStreamError& e) {
+    } catch (const std::runtime_error& e) {
       std::fprintf(stderr, "%s\n", e.what());
       return 1;
     }

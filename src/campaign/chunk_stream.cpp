@@ -1,5 +1,6 @@
 #include "campaign/chunk_stream.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <cinttypes>
 #include <cstdio>
@@ -49,6 +50,14 @@ void seal_line(std::string& line) {
   line += buf;
 }
 
+/// Every reader diagnostic: "chunk-stream: SOURCE[ line N]: what".
+std::string diagnostic(std::string_view source, std::size_t lineno,
+                       const std::string& what) {
+  std::string out = "chunk-stream: " + std::string(source);
+  if (lineno > 0) out += " line " + std::to_string(lineno);
+  return out + ": " + what;
+}
+
 /// Strict scanner over one serialized line. Any deviation from the
 /// writer's byte layout fails with the source/line context — a truncated
 /// or hand-edited line cannot parse into a half-read record.
@@ -58,8 +67,7 @@ class Scanner {
       : s_(line), source_(source), lineno_(lineno) {}
 
   [[noreturn]] void fail(const std::string& what) const {
-    throw ChunkStreamError("chunk-stream: " + std::string(source_) +
-                           " line " + std::to_string(lineno_) + ": " + what);
+    throw ChunkStreamError(diagnostic(source_, lineno_, what));
   }
 
   void expect(std::string_view lit) {
@@ -399,9 +407,8 @@ std::string serialize_stream_header(const Scenario& scenario,
   return line;
 }
 
-std::string serialize_chunk_record(
-    const ChunkRef& ref,
-    const std::array<StreamingStats, kMetricCount>& metrics) {
+std::string serialize_chunk_record(const ChunkRef& ref,
+                                   const ChunkMetrics& metrics) {
   char buf[160];
   std::snprintf(buf, sizeof buf,
                 "{\"chunk\":%zu,\"point\":%zu,\"trial_begin\":%zu,"
@@ -487,129 +494,53 @@ std::string serialize_chunk_stream(const Scenario& scenario,
   return out;
 }
 
-ChunkStream parse_chunk_stream(std::string_view text,
-                               std::string_view source) {
-  if (text.empty()) {
-    throw ChunkStreamError("chunk-stream: " + std::string(source) +
-                           ": empty stream");
-  }
-  if (text.back() != '\n') {
-    throw ChunkStreamError("chunk-stream: " + std::string(source) +
-                           ": truncated stream (missing final newline)");
-  }
-
-  const std::vector<std::string_view> lines = split_lines(text);
-
-  ChunkStream stream;
-  stream.source = std::string(source);
-  stream.header = parse_header(lines[0], source);
-  // Layout: header + chunk_count records + metrics trailer.
-  if (lines.size() != 1 + stream.header.chunk_count + 1) {
-    throw ChunkStreamError(
-        "chunk-stream: " + std::string(source) + ": header promises " +
-        std::to_string(stream.header.chunk_count) +
-        " chunk records plus a metrics trailer, found " +
-        std::to_string(lines.size() - 1) +
-        " lines after the header (truncated or padded stream)");
-  }
-  stream.chunks.reserve(stream.header.chunk_count);
-  for (std::size_t i = 1; i + 1 < lines.size(); ++i) {
-    ChunkRecord rec =
-        parse_chunk_record(lines[i], source, i + 1, stream.header);
-    if (!stream.chunks.empty() &&
-        rec.ref.chunk_index <= stream.chunks.back().ref.chunk_index) {
-      throw ChunkStreamError(
-          "chunk-stream: " + std::string(source) + " line " +
-          std::to_string(i + 1) + ": duplicate or out-of-order chunk id " +
-          std::to_string(rec.ref.chunk_index));
-    }
-    stream.chunks.push_back(std::move(rec));
-  }
-  stream.trailer =
-      parse_metrics_trailer(lines.back(), source, lines.size());
-  return stream;
-}
-
-ChunkStream load_chunk_stream(const std::string& path) {
-  std::string text;
-  switch (snapshot::read_whole_file(path, text)) {
-    case snapshot::FileReadStatus::kOpenFailed:
-      throw ChunkStreamError("chunk-stream: cannot open " + path);
-    case snapshot::FileReadStatus::kReadError:
-      throw ChunkStreamError("chunk-stream: error reading " + path);
-    case snapshot::FileReadStatus::kOk: break;
-  }
-  return parse_chunk_stream(text, path);
-}
-
-SalvagedStream salvage_chunk_stream(std::string_view text,
-                                    std::string_view source) {
-  SalvagedStream out;
+ChunkStream salvage_chunk_stream(std::string_view text,
+                                 std::string_view source) {
+  ChunkStream out;
   out.source = std::string(source);
-  if (text.empty()) {
-    out.truncation_reason = "empty stream";
-    return out;
-  }
+  const auto stop = [&out, source](std::size_t lineno,
+                                   const std::string& what) {
+    out.truncation_reason = diagnostic(source, lineno, what);
+    return std::move(out);
+  };
+  if (text.empty()) return stop(0, "empty stream");
   // A missing final newline means the last line was cut mid-write; the
   // complete lines before it are still candidates.
   const bool clean_tail = text.back() == '\n';
   const std::vector<std::string_view> lines = split_lines(text);
-  if (lines.empty()) {
-    out.truncation_reason = "no complete line";
-    return out;
-  }
+  if (lines.empty()) return stop(0, "no complete line");
 
   try {
     out.header = parse_header(lines[0], source);
-  } catch (const ChunkStreamError& e) {
-    out.truncation_reason = e.what();
-    return out;
-  }
-  out.header_valid = true;
-
-  // Accept records under exactly the strict rules; the first offending
-  // line ends the salvage. A line that parses as the trailer instead of
-  // a record ends record acceptance too (handled below).
-  const std::size_t record_lines =
-      std::min(lines.size() - 1, out.header.chunk_count);
-  std::size_t accepted = 0;
-  for (; accepted < record_lines; ++accepted) {
-    const std::size_t lineno = accepted + 2;
-    try {
-      ChunkRecord rec = parse_chunk_record(lines[accepted + 1], source,
-                                           lineno, out.header);
+    out.header_valid = true;
+    // Accept records one by one; the first offending line ends the
+    // salvage.
+    const std::size_t record_lines =
+        std::min(lines.size() - 1, out.header.chunk_count);
+    for (std::size_t i = 1; i <= record_lines; ++i) {
+      ChunkRecord rec = parse_chunk_record(lines[i], source, i + 1,
+                                           out.header);
       if (!out.chunks.empty() &&
           rec.ref.chunk_index <= out.chunks.back().ref.chunk_index) {
-        out.truncation_reason =
-            "line " + std::to_string(lineno) +
-            ": duplicate or out-of-order chunk id " +
-            std::to_string(rec.ref.chunk_index);
-        return out;
+        return stop(i + 1, "duplicate or out-of-order chunk id " +
+                               std::to_string(rec.ref.chunk_index));
       }
       out.chunks.push_back(std::move(rec));
-    } catch (const ChunkStreamError& e) {
-      out.truncation_reason = e.what();
-      return out;
     }
-  }
-
-  // All promised records were valid; the stream is complete only if the
-  // trailer line follows, checks out, and nothing trails it.
-  if (accepted < out.header.chunk_count) {
-    out.truncation_reason =
-        "stream ends after " + std::to_string(accepted) + " of " +
-        std::to_string(out.header.chunk_count) + " promised records";
-    return out;
-  }
-  if (lines.size() < out.header.chunk_count + 2 || !clean_tail) {
-    out.truncation_reason = "metrics trailer missing or cut short";
-    return out;
-  }
-  if (lines.size() > out.header.chunk_count + 2) {
-    out.truncation_reason = "unexpected lines after the metrics trailer";
-    return out;
-  }
-  try {
+    // All promised records were valid; the stream is complete only if
+    // the trailer line follows, checks out, and nothing trails it.
+    if (out.chunks.size() < out.header.chunk_count) {
+      return stop(0, "stream ends after " +
+                         std::to_string(out.chunks.size()) + " of " +
+                         std::to_string(out.header.chunk_count) +
+                         " promised records");
+    }
+    if (lines.size() < out.header.chunk_count + 2 || !clean_tail) {
+      return stop(0, "metrics trailer missing or cut short");
+    }
+    if (lines.size() > out.header.chunk_count + 2) {
+      return stop(0, "unexpected lines after the metrics trailer");
+    }
     out.trailer = parse_metrics_trailer(lines.back(), source, lines.size());
   } catch (const ChunkStreamError& e) {
     out.truncation_reason = e.what();
@@ -619,162 +550,208 @@ SalvagedStream salvage_chunk_stream(std::string_view text,
   return out;
 }
 
-SalvagedStream salvage_chunk_stream_file(const std::string& path) {
+ChunkStream load_chunk_stream(const std::string& path) {
   std::string text;
-  switch (snapshot::read_whole_file(path, text)) {
-    case snapshot::FileReadStatus::kOpenFailed: {
-      SalvagedStream out;
-      out.source = path;
-      out.truncation_reason = "cannot open stream file";
-      return out;
-    }
-    case snapshot::FileReadStatus::kReadError: {
-      SalvagedStream out;
-      out.source = path;
-      out.truncation_reason = "error reading stream file";
-      return out;
-    }
-    case snapshot::FileReadStatus::kOk: break;
+  const snapshot::FileReadStatus status =
+      snapshot::read_whole_file(path, text);
+  if (status == snapshot::FileReadStatus::kOk) {
+    return salvage_chunk_stream(text, path);
   }
-  return salvage_chunk_stream(text, path);
+  ChunkStream out;
+  out.source = path;
+  out.truncation_reason = diagnostic(
+      path, 0,
+      status == snapshot::FileReadStatus::kOpenFailed
+          ? "cannot open stream file"
+          : "error reading stream file");
+  return out;
+}
+
+void require_complete(const ChunkStream& stream) {
+  if (!stream.complete) throw ChunkStreamError(stream.truncation_reason);
+}
+
+ChunkStream parse_chunk_stream(std::string_view text,
+                               std::string_view source) {
+  ChunkStream stream = salvage_chunk_stream(text, source);
+  require_complete(stream);
+  return stream;
+}
+
+// ---------------------------------------------------------------------------
+// ChunkCover
+
+namespace {
+
+/// The one predicate for "these two headers describe the same campaign".
+bool same_campaign(const ChunkStreamHeader& a, const ChunkStreamHeader& b) {
+  return a.scenario == b.scenario && a.seed == b.seed &&
+         a.trials_per_point == b.trials_per_point &&
+         a.chunk_size == b.chunk_size && a.shard_count == b.shard_count &&
+         a.point_count == b.point_count && a.total_chunks == b.total_chunks;
+}
+
+std::string shard_label(const ChunkStream& s) {
+  return "shard " + std::to_string(s.header.shard_index) + " (" + s.source +
+         ")";
+}
+
+std::string locate(const ChunkStream& s, std::size_t lineno) {
+  return shard_label(s) + " line " + std::to_string(lineno);
+}
+
+}  // namespace
+
+ChunkCover::ChunkCover(const Scenario& scenario, CoverMode mode)
+    : scenario_(scenario), mode_(mode) {}
+
+void ChunkCover::set_identity(const ChunkStreamHeader& header,
+                              std::string label) {
+  if (header.scenario != scenario_.name) {
+    throw ChunkStreamError("chunk-stream merge: stream is for scenario '" +
+                           header.scenario + "', not '" + scenario_.name +
+                           "'");
+  }
+  CampaignOptions options;
+  options.seed = header.seed;
+  options.trials_per_point = header.trials_per_point;
+  options.chunk_size = header.chunk_size;
+  global_ = plan_shard(scenario_, options, 1, 0);
+  // A stream recorded from a different sweep shape (or trial count)
+  // cannot be pinned to this scenario's chunk enumeration.
+  if (global_.point_count != header.point_count ||
+      global_.total_chunks != header.total_chunks) {
+    throw ChunkStreamError("chunk-stream merge: " + label +
+                           " geometry disagrees with scenario '" +
+                           scenario_.name + "'");
+  }
+  identity_ = header;
+  identity_label_ = std::move(label);
+  have_identity_ = true;
+  slots_.assign(global_.total_chunks, Slot{});
+}
+
+void ChunkCover::pin(const CampaignOptions& options,
+                     std::size_t shard_count) {
+  const ShardPlan global = plan_shard(scenario_, options, 1, 0);
+  ChunkStreamHeader header;
+  header.scenario = scenario_.name;
+  header.seed = options.seed;
+  header.trials_per_point = global.trials_per_point;
+  header.chunk_size = global.chunk_size;
+  header.shard_count = shard_count;
+  header.point_count = global.point_count;
+  header.total_chunks = global.total_chunks;
+  set_identity(header, "the dispatched campaign");
+}
+
+std::size_t ChunkCover::add(ChunkStream stream) {
+  const bool strict = mode_ == CoverMode::kStrict;
+  if (strict) {
+    require_complete(stream);
+    if (stream.header.repair) {
+      throw ChunkStreamError(
+          "chunk-stream merge: " + stream.source +
+          " is a repair stream (shard " +
+          std::to_string(stream.header.shard_index) +
+          "); recovered campaigns merge through --recover, not --merge");
+    }
+  }
+  if (!stream.header_valid) return 0;  // nothing sealed to take
+  if (!have_identity_) {
+    set_identity(stream.header, shard_label(stream));
+  } else if (!same_campaign(stream.header, identity_)) {
+    throw ChunkStreamError(
+        "chunk-stream merge: header of " + shard_label(stream) +
+        " disagrees with " + identity_label_ +
+        " (scenario/seed/trials_per_point/chunk_size/shard_count/"
+        "point_count/total_chunks must match across all shards)");
+  }
+
+  const ChunkStream& s = streams_.emplace_back(std::move(stream));
+  std::size_t duplicates = 0;
+  for (const ChunkRecord& rec : s.chunks) {
+    const std::size_t id = rec.ref.chunk_index;
+    // The reader enforced the wire rules; this pins the record to the
+    // recomputed enumeration, so a mislabeled chunk cannot slip in.
+    if (!(rec.ref == global_.chunks[id])) {
+      if (!strict) break;
+      throw ChunkStreamError("chunk-stream merge: " +
+                             locate(s, rec.lineno) +
+                             ": record does not match the planned chunk (id " +
+                             std::to_string(id) + ")");
+    }
+    if (slots_[id].record != nullptr) {
+      if (strict) {
+        throw ChunkStreamError(
+            "chunk-stream merge: " + locate(s, rec.lineno) +
+            ": duplicate chunk id " + std::to_string(id) + " (first seen at " +
+            locate(*slots_[id].stream, slots_[id].record->lineno) + ")");
+      }
+      ++duplicates;
+      continue;
+    }
+    slots_[id] = Slot{&s, &rec};
+  }
+  duplicates_ += duplicates;
+  if (s.complete) {
+    // Only a complete stream's trailer is trustworthy accounting; a
+    // salvaged prefix merges its records but forfeits its counters.
+    ++metrics_.shards;
+    metrics_.threads += s.trailer.threads;
+    metrics_.wall_ns += s.trailer.wall_ns;
+    metrics_.report.merge(s.trailer.report);
+    if (!s.header.repair) live_shards_.insert(s.header.shard_index);
+  }
+  return duplicates;
+}
+
+const ChunkStreamHeader* ChunkCover::identity() const {
+  return have_identity_ ? &identity_ : nullptr;
+}
+
+std::vector<std::size_t> ChunkCover::missing() const {
+  std::vector<std::size_t> ids;
+  for (std::size_t id = 0; id < slots_.size(); ++id) {
+    if (slots_[id].record == nullptr) ids.push_back(id);
+  }
+  return ids;
+}
+
+std::size_t ChunkCover::shards_dead() const {
+  return have_identity_ ? identity_.shard_count - live_shards_.size() : 0;
+}
+
+CampaignResult ChunkCover::fold() const {
+  if (!have_identity_) {
+    throw ChunkStreamError("chunk-stream merge: no streams given");
+  }
+  const std::vector<std::size_t> ids = missing();
+  if (!ids.empty()) {
+    throw ChunkStreamError("chunk-stream merge: chunk id " +
+                           std::to_string(ids.front()) + " (shard " +
+                           std::to_string(ids.front() %
+                                          identity_.shard_count) +
+                           "'s deal) is missing from every stream");
+  }
+  CampaignOptions options;
+  options.seed = identity_.seed;
+  options.trials_per_point = identity_.trials_per_point;
+  options.chunk_size = identity_.chunk_size;
+  options.threads = 0;
+  return fold_chunks(scenario_, options, global_,
+                     [this](std::size_t c) -> const ChunkMetrics& {
+                       return slots_[c].record->metrics;
+                     });
 }
 
 CampaignResult merge_chunk_streams(const Scenario& scenario,
-                                   const std::vector<ChunkStream>& streams,
+                                   std::vector<ChunkStream> streams,
                                    MergedMetrics* metrics) {
-  if (streams.empty()) {
-    throw ChunkStreamError("chunk-stream merge: no streams given");
-  }
-  // Shard index + source + line locator for every merge diagnostic, so a
-  // rejected multi-gigabyte campaign names the record to look at instead
-  // of just failing.
-  const auto locate = [](const ChunkStream& s, std::size_t lineno) {
-    return "shard " + std::to_string(s.header.shard_index) + " (" +
-           s.source + ") line " + std::to_string(lineno);
-  };
-  const ChunkStreamHeader& h0 = streams.front().header;
-  if (h0.scenario != scenario.name) {
-    throw ChunkStreamError("chunk-stream merge: stream is for scenario '" +
-                           h0.scenario + "', not '" + scenario.name + "'");
-  }
-  if (streams.size() != h0.shard_count) {
-    throw ChunkStreamError(
-        "chunk-stream merge: campaign was split into " +
-        std::to_string(h0.shard_count) + " shards but " +
-        std::to_string(streams.size()) + " streams were given");
-  }
-
-  CampaignOptions options;
-  options.seed = h0.seed;
-  options.trials_per_point = h0.trials_per_point;
-  options.chunk_size = h0.chunk_size;
-  options.threads = 0;
-
-  std::set<std::size_t> shard_indices;
-  for (const ChunkStream& s : streams) {
-    const ChunkStreamHeader& h = s.header;
-    if (h.repair) {
-      throw ChunkStreamError(
-          "chunk-stream merge: " + s.source + " is a repair stream (shard " +
-          std::to_string(h.shard_index) +
-          "); recovered campaigns merge through the dispatcher, not "
-          "--merge");
-    }
-    if (h.scenario != h0.scenario || h.seed != h0.seed ||
-        h.trials_per_point != h0.trials_per_point ||
-        h.chunk_size != h0.chunk_size || h.shard_count != h0.shard_count ||
-        h.point_count != h0.point_count ||
-        h.total_chunks != h0.total_chunks) {
-      throw ChunkStreamError(
-          "chunk-stream merge: header of shard " +
-          std::to_string(h.shard_index) + " (" + s.source +
-          ") disagrees with shard " + std::to_string(h0.shard_index) + " (" +
-          streams.front().source +
-          ") (scenario/seed/trials_per_point/chunk_size/shard_count/"
-          "point_count/total_chunks must match across all shards)");
-    }
-    if (!shard_indices.insert(h.shard_index).second) {
-      throw ChunkStreamError("chunk-stream merge: shard index " +
-                             std::to_string(h.shard_index) + " (" + s.source +
-                             ") appears in more than one stream");
-    }
-
-    // Re-derive this shard's plan from the scenario and reject any stream
-    // whose recorded chunk geometry disagrees — the scenario preset (or
-    // its trial count) is not the one the shard actually ran.
-    const ShardPlan plan =
-        plan_shard(scenario, options, h.shard_count, h.shard_index);
-    if (plan.point_count != h.point_count ||
-        plan.total_chunks != h.total_chunks ||
-        plan.chunks.size() != s.chunks.size()) {
-      throw ChunkStreamError(
-          "chunk-stream merge: shard " + std::to_string(h.shard_index) +
-          " (" + s.source + ") geometry disagrees with scenario '" +
-          scenario.name + "'");
-    }
-    for (std::size_t c = 0; c < plan.chunks.size(); ++c) {
-      if (!(s.chunks[c].ref == plan.chunks[c])) {
-        throw ChunkStreamError(
-            "chunk-stream merge: " + locate(s, s.chunks[c].lineno) +
-            ": record " + std::to_string(c) +
-            " does not match the planned chunk (id " +
-            std::to_string(plan.chunks[c].chunk_index) + ")");
-      }
-    }
-  }
-
-  // Every global chunk id exactly once across the shard set.
-  std::vector<const ChunkRecord*> by_id(h0.total_chunks, nullptr);
-  std::vector<const ChunkStream*> owner(h0.total_chunks, nullptr);
-  for (const ChunkStream& s : streams) {
-    for (const ChunkRecord& rec : s.chunks) {
-      if (by_id[rec.ref.chunk_index] != nullptr) {
-        const ChunkRecord* first = by_id[rec.ref.chunk_index];
-        throw ChunkStreamError(
-            "chunk-stream merge: " + locate(s, rec.lineno) +
-            ": duplicate chunk id " + std::to_string(rec.ref.chunk_index) +
-            " (first seen at " +
-            locate(*owner[rec.ref.chunk_index], first->lineno) + ")");
-      }
-      by_id[rec.ref.chunk_index] = &rec;
-      owner[rec.ref.chunk_index] = &s;
-    }
-  }
-  for (std::size_t id = 0; id < by_id.size(); ++id) {
-    if (by_id[id] == nullptr) {
-      throw ChunkStreamError("chunk-stream merge: chunk id " +
-                             std::to_string(id) +
-                             " is missing from every stream");
-    }
-  }
-
-  CampaignResult result;
-  result.scenario = scenario;
-  result.options = options;
-  result.points.resize(h0.point_count);
-  for (std::size_t p = 0; p < h0.point_count; ++p) {
-    result.points[p].point_index = p;
-    result.points[p].axis_value = scenario.axis_value_at(p);
-  }
-  // The fixed fold order that makes the merge bit-identical to a serial
-  // run: ascending global chunk id, exactly like run_campaign.
-  for (const ChunkRecord* rec : by_id) {
-    auto& point = result.points[rec->ref.point_index];
-    for (std::size_t m = 0; m < kMetricCount; ++m) {
-      point.metrics[m].merge(rec->metrics[m]);
-    }
-  }
-  result.total_trials = h0.point_count * h0.trials_per_point;
-
-  if (metrics != nullptr) {
-    *metrics = MergedMetrics{};
-    metrics->shards = streams.size();
-    for (const ChunkStream& s : streams) {
-      metrics->threads += s.trailer.threads;
-      metrics->wall_ns += s.trailer.wall_ns;
-      metrics->report.merge(s.trailer.report);
-    }
-  }
+  ChunkCover cover(scenario, CoverMode::kStrict);
+  for (ChunkStream& s : streams) cover.add(std::move(s));
+  CampaignResult result = cover.fold();
+  if (metrics != nullptr) *metrics = cover.metrics();
   return result;
 }
 

@@ -1,7 +1,8 @@
 /// @file
 /// Versioned, self-describing chunk-stream serialization (JSONL) for
-/// sharded multi-process campaigns, and the merge that folds shard
-/// streams back into aggregates bit-identical to a serial run.
+/// sharded multi-process campaigns, its one reader, and the one cover
+/// that folds shard streams back into aggregates bit-identical to a
+/// serial run.
 ///
 /// Wire format — one JSON object per line, each line ending in a
 /// CRC-16/CCITT checksum field (v3) so any single-byte corruption of a
@@ -34,25 +35,30 @@
 /// "mode" is "deal" for a stream produced by the round-robin shard plan
 /// (every chunk id satisfies id % K == i) and "repair" for a re-deal
 /// stream produced by the fault-tolerant dispatcher (explicit chunk ids;
-/// see dispatch.hpp). The strict merge accepts only "deal" streams;
-/// repair streams are folded by the dispatcher's recovery merge.
+/// see dispatch.hpp).
 ///
 /// Doubles travel as C99 hex-float strings ("0x1.5bf0a8b145769p+1"):
 /// exact binary round trip, no decimal rounding, locale-proof. Only
 /// metrics with samples are written; trailer counters/phases are always
 /// written (integers, zero included) so the trailer layout is fixed.
 ///
-/// The parser and merge are strict by design: truncated lines, CRC
-/// mismatches, missing or duplicate chunk ids, chunk metadata that
-/// disagrees with the shard plan, a missing or malformed trailer, and
-/// header mismatches across streams (different scenario, seed, trial
-/// count, chunk size, shard count or version) are hard errors — never a
-/// silent partial merge. salvage_chunk_stream() is the one sanctioned
-/// relaxation: it returns the longest valid prefix of records from a
-/// truncated or corrupted stream (each record re-validated by exactly
-/// the strict rules) so the dispatcher can re-deal only what was lost.
+/// One reader: salvage_chunk_stream() accepts the longest prefix of
+/// lines the wire rules allow and says whether the whole stream is
+/// complete; the strict parse is that plus "must be complete".
+///
+/// One cover: ChunkCover decides which records make a campaign. It takes
+/// the campaign identity from the first sealed header, rejects any
+/// sealed header that disagrees with it, pins every record to the global
+/// chunk enumeration, tracks covered and missing chunk ids, sums the
+/// trailers of complete streams, and folds through fold_chunks() in
+/// ascending chunk id. Strict mode (`--merge`) takes only complete deal
+/// streams and makes a duplicate or missing id an error naming the
+/// shard, source and line; recover mode (`--recover`, `--dispatch`)
+/// keeps the first copy of each id and reports what is still missing.
 #pragma once
 
+#include <deque>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -93,8 +99,8 @@ struct ChunkStreamHeader {
 
 struct ChunkRecord {
   ChunkRef ref;
-  std::array<StreamingStats, kMetricCount> metrics;
-  /// 1-based line in the source stream — the locator merge/salvage
+  ChunkMetrics metrics;
+  /// 1-based line in the source stream — the locator cover and salvage
   /// diagnostics report.
   std::size_t lineno = 0;
 };
@@ -107,16 +113,30 @@ struct ShardMetricsTrailer {
   obs::Report report;
 };
 
+/// One read stream, whole or salvaged. Salvage semantics (pinned by
+/// test_shard_merge's Salvage* tests):
+///   - the header must parse, else nothing is salvaged;
+///   - records are accepted one by one under the full wire rules (CRC,
+///     field layout, ascending ids, plan membership) and acceptance
+///     stops at the first offending line, so a salvaged prefix is always
+///     a prefix of what the intact stream carried;
+///   - `complete` is true iff the records fulfil the header's promise and
+///     the trailer checks out; only then is `trailer` meaningful.
 struct ChunkStream {
+  bool header_valid = false;
   ChunkStreamHeader header;
   std::vector<ChunkRecord> chunks;
+  bool complete = false;
   ShardMetricsTrailer trailer;
-  /// The stream's name (file path) as given to the parser; merge
-  /// diagnostics quote it alongside the shard index.
+  /// The stream's name (file path); diagnostics quote it.
   std::string source;
+  /// Why the read stopped short (empty when complete): a full
+  /// `chunk-stream:` diagnostic naming the source and, where one is at
+  /// fault, the line.
+  std::string truncation_reason;
 };
 
-/// Aggregated observability across the K merged shard streams: thread
+/// Trailers summed across the complete streams of a campaign: thread
 /// counts and wall time are summed (total CPU budget, not elapsed time),
 /// the reports merged counter-by-counter. Kept separate from the
 /// canonical CampaignResult, whose runtime fields stay zeroed.
@@ -127,38 +147,22 @@ struct MergedMetrics {
   obs::Report report;
 };
 
-/// Best-effort parse of a possibly truncated or corrupted stream: the
-/// longest prefix of lines that the strict rules accept. Never throws.
-///
-/// Salvage semantics (pinned by test_shard_merge's SalvageMode suite):
-///   - the header must parse strictly, else nothing is salvaged;
-///   - records are accepted one by one under exactly the strict parser's
-///     checks (CRC, field layout, ordering, plan membership) and
-///     acceptance stops at the first offending line — every salvaged
-///     chunk is one the strict parser would also accept, and a salvaged
-///     prefix is always a prefix of what the intact stream carried;
-///   - `complete` is true iff the whole stream is strictly valid
-///     (records fulfil the header's promise and the trailer checks out),
-///     in which case salvage equals parse_chunk_stream and `trailer` is
-///     meaningful.
-struct SalvagedStream {
-  bool header_valid = false;
-  ChunkStreamHeader header;
-  std::vector<ChunkRecord> chunks;
-  bool complete = false;
-  ShardMetricsTrailer trailer;
-  std::string source;
-  /// Why salvage stopped short (empty when complete).
-  std::string truncation_reason;
-};
+/// Reads a possibly truncated or corrupted stream. Never throws.
+ChunkStream salvage_chunk_stream(std::string_view text,
+                                 std::string_view source);
 
-SalvagedStream salvage_chunk_stream(std::string_view text,
-                                    std::string_view source);
-
-/// Reads `path` and salvages it. An unreadable file yields an empty
-/// salvage (header_valid=false) with the reason recorded — a dead
+/// Reads and salvages the file at `path`. An unreadable file yields an
+/// empty stream (header_valid=false) with the reason recorded: a dead
 /// shard's missing stream is data loss, not a crash.
-SalvagedStream salvage_chunk_stream_file(const std::string& path);
+ChunkStream load_chunk_stream(const std::string& path);
+
+/// Throws ChunkStreamError with the stream's truncation reason unless it
+/// is complete.
+void require_complete(const ChunkStream& stream);
+
+/// The strict parse: salvage_chunk_stream() plus require_complete().
+ChunkStream parse_chunk_stream(std::string_view text,
+                               std::string_view source);
 
 /// Serializes one shard's execution. `options` supplies the campaign
 /// seed; the resolved geometry comes from exec.plan.
@@ -176,37 +180,90 @@ std::string serialize_chunk_stream(const Scenario& scenario,
 std::string serialize_stream_header(const Scenario& scenario,
                                     const CampaignOptions& options,
                                     const ShardPlan& plan);
-std::string serialize_chunk_record(
-    const ChunkRef& ref,
-    const std::array<StreamingStats, kMetricCount>& metrics);
+std::string serialize_chunk_record(const ChunkRef& ref,
+                                   const ChunkMetrics& metrics);
 std::string serialize_metrics_trailer(unsigned threads, double wall_seconds,
                                       const obs::Report& report);
 
-/// Parses and validates one stream. `source` names the stream (file
-/// path) in error messages. Throws ChunkStreamError.
-ChunkStream parse_chunk_stream(std::string_view text,
-                               std::string_view source);
+enum class CoverMode {
+  kStrict,   ///< complete deal streams, every chunk id exactly once
+  kRecover,  ///< any salvaged prefix, first copy of each id wins
+};
 
-/// Reads `path` and parses it. Throws ChunkStreamError (including for
-/// unreadable files).
-ChunkStream load_chunk_stream(const std::string& path);
+/// Which records make a campaign, and in what order they fold.
+///
+/// In both modes a sealed header that disagrees with the campaign
+/// identity (scenario, seed, trials, chunk size, shard count, geometry)
+/// is a ChunkStreamError. In strict mode so are an incomplete stream, a
+/// repair stream, a record that is not the planned chunk, and a
+/// duplicate id; fold() also rejects a missing id. In recover mode an
+/// unsealed header contributes nothing, a record that is not the planned
+/// chunk ends its stream's contribution, and a duplicate is counted and
+/// dropped (determinism makes both copies bit-identical).
+class ChunkCover {
+ public:
+  ChunkCover(const Scenario& scenario, CoverMode mode);
+  // The slots point into the streams this cover owns.
+  ChunkCover(const ChunkCover&) = delete;
+  ChunkCover& operator=(const ChunkCover&) = delete;
 
-/// Folds K shard streams into a CampaignResult whose per-point
-/// aggregates — and therefore CSV/JSON reports — are bit-identical to
-/// the serial single-process run of the same (scenario, seed, trials,
-/// chunk size). Validates that the streams agree on every header field,
-/// cover shard indices 0..K-1 exactly once, match the recomputed shard
-/// plans chunk-for-chunk, and jointly cover every global chunk id
-/// exactly once. Repair streams are rejected — recovered campaigns merge
-/// through the dispatcher (dispatch.hpp), which validates an explicit
-/// chunk cover instead. Every rejection names the offending shard,
-/// stream source and record line. The result's runtime fields (wall
-/// time, threads, pool counters) are zeroed — reports are canonical.
-/// With `metrics` non-null the shard trailers are aggregated into it
-/// (merge order never matters: Report::merge is integer addition).
-/// Throws ChunkStreamError.
+  /// Fixes the campaign identity before any stream arrives (the
+  /// dispatcher knows it); otherwise the first sealed header fixes it.
+  void pin(const CampaignOptions& options, std::size_t shard_count);
+
+  /// Takes one stream's records. Returns how many were dropped as
+  /// duplicates.
+  std::size_t add(ChunkStream stream);
+
+  /// The campaign identity, or null before any sealed header arrived.
+  const ChunkStreamHeader* identity() const;
+
+  /// Chunk ids no accepted record covers yet, ascending.
+  std::vector<std::size_t> missing() const;
+
+  /// Records dropped as duplicates so far.
+  std::size_t duplicates() const { return duplicates_; }
+
+  /// K minus the distinct shard indices that have a complete deal stream.
+  std::size_t shards_dead() const;
+
+  /// The summed trailers of every complete stream added.
+  const MergedMetrics& metrics() const { return metrics_; }
+
+  /// The canonical result (runtime fields zeroed): every chunk id's
+  /// accepted record, folded by fold_chunks(). Throws ChunkStreamError
+  /// when no identity is known or an id is missing.
+  CampaignResult fold() const;
+
+ private:
+  struct Slot {
+    const ChunkStream* stream = nullptr;
+    const ChunkRecord* record = nullptr;
+  };
+
+  void set_identity(const ChunkStreamHeader& header, std::string label);
+
+  const Scenario& scenario_;
+  CoverMode mode_;
+  bool have_identity_ = false;
+  ChunkStreamHeader identity_;
+  std::string identity_label_;  ///< who fixed the identity, for errors
+  ShardPlan global_;            ///< plan_shard(scenario, identity, 1, 0)
+  std::deque<ChunkStream> streams_;  ///< owns the records slots_ point at
+  std::vector<Slot> slots_;          ///< by chunk id
+  std::set<std::size_t> live_shards_;
+  std::size_t duplicates_ = 0;
+  MergedMetrics metrics_;
+};
+
+/// Strict cover of K complete deal streams: the `--merge` path. Its
+/// per-point aggregates, and so its CSV/JSON reports, are bit-identical
+/// to the serial run of the same (scenario, seed, trials, chunk size).
+/// The result's runtime fields (wall time, threads) are zeroed. With
+/// `metrics` non-null the shard trailers are summed into it (order never
+/// matters: Report::merge is integer addition). Throws ChunkStreamError.
 CampaignResult merge_chunk_streams(const Scenario& scenario,
-                                   const std::vector<ChunkStream>& streams,
+                                   std::vector<ChunkStream> streams,
                                    MergedMetrics* metrics = nullptr);
 
 }  // namespace hs::campaign

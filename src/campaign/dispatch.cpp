@@ -6,12 +6,8 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <mutex>
-#include <optional>
 #include <thread>
 
-#include "campaign/report.hpp"
 #include "snapshot/state_io.hpp"
 
 namespace hs::campaign {
@@ -407,32 +403,13 @@ void add_dispatch_counters(DispatchReport& rep) {
       rep.tasks_retried;
 }
 
-/// Canonical fold, exactly as merge_chunk_streams: ascending global
-/// chunk id, runtime fields zeroed. Requires every id accepted.
-CampaignResult fold_canonical(
-    const Scenario& scenario, std::uint64_t seed, const ShardPlan& global,
-    const std::vector<std::optional<ChunkRecord>>& accepted) {
-  CampaignResult result;
-  result.scenario = scenario;
-  CampaignOptions canonical;
-  canonical.seed = seed;
-  canonical.trials_per_point = global.trials_per_point;
-  canonical.chunk_size = global.chunk_size;
-  canonical.threads = 0;
-  result.options = canonical;
-  result.points.resize(global.point_count);
-  for (std::size_t p = 0; p < global.point_count; ++p) {
-    result.points[p].point_index = p;
-    result.points[p].axis_value = scenario.axis_value_at(p);
-  }
-  for (const auto& rec : accepted) {
-    auto& point = result.points[rec->ref.point_index];
-    for (std::size_t m = 0; m < kMetricCount; ++m) {
-      point.metrics[m].merge(rec->metrics[m]);
-    }
-  }
-  result.total_trials = global.point_count * global.trials_per_point;
-  return result;
+/// The dispatcher's accounting that the cover keeps, then the counters.
+void finish_report(const ChunkCover& cover, DispatchReport& rep) {
+  rep.chunks_duplicate = cover.duplicates();
+  rep.shards_dead = cover.shards_dead();
+  rep.metrics = cover.metrics();
+  rep.streams_complete = rep.metrics.shards;
+  add_dispatch_counters(rep);
 }
 
 }  // namespace
@@ -446,57 +423,12 @@ CampaignResult dispatch_campaign(const Scenario& scenario,
     throw DispatchError("dispatch: shard_count must be >= 1");
   }
   const std::size_t K = dispatch.shard_count;
-  // The global chunk enumeration is the single source of truth: every
-  // accepted record must match it exactly, every id must end up covered.
-  const ShardPlan global = plan_shard(scenario, options, 1, 0);
-
+  ChunkCover cover(scenario, CoverMode::kRecover);
+  cover.pin(options, K);
   DispatchReport rep;
-  std::vector<std::optional<ChunkRecord>> accepted(global.total_chunks);
-  std::size_t covered = 0;
-  std::vector<bool> slot_complete(K, false);
-
-  const auto process_outcome = [&](TaskOutcome& o, bool from_delay) {
-    const SalvagedStream s = salvage_chunk_stream(o.stream_text, o.source);
-    const bool geometry_ok =
-        s.header_valid && s.header.scenario == scenario.name &&
-        s.header.seed == options.seed &&
-        s.header.trials_per_point == global.trials_per_point &&
-        s.header.chunk_size == global.chunk_size &&
-        s.header.shard_count == K &&
-        s.header.point_count == global.point_count &&
-        s.header.total_chunks == global.total_chunks;
-    std::size_t duplicates = 0;
-    if (geometry_ok) {
-      for (const ChunkRecord& rec : s.chunks) {
-        // Salvage already enforced the strict per-record rules; this
-        // pins the record to the recomputed enumeration (a stream from a
-        // different build or a hand-edited geometry cannot smuggle a
-        // mislabeled chunk in).
-        if (!(rec.ref == global.chunks[rec.ref.chunk_index])) break;
-        if (accepted[rec.ref.chunk_index].has_value()) {
-          // First-wins suppression. Duplicated chunks are bit-identical
-          // by determinism, so which copy merges never matters.
-          ++duplicates;
-          continue;
-        }
-        accepted[rec.ref.chunk_index] = rec;
-        ++covered;
-      }
-      if (s.complete) {
-        // Only a complete stream's trailer is trustworthy accounting;
-        // a salvaged prefix merges its records but forfeits its
-        // counters. Stragglers and their repair tasks BOTH count, so
-        // executed trials exceed merged trials exactly when work was
-        // duplicated.
-        ++rep.streams_complete;
-        ++rep.metrics.shards;
-        rep.metrics.threads += s.trailer.threads;
-        rep.metrics.wall_ns += s.trailer.wall_ns;
-        rep.metrics.report.merge(s.trailer.report);
-        if (o.generation == 0 && o.slot < K) slot_complete[o.slot] = true;
-      }
-    }
-    rep.chunks_duplicate += duplicates;
+  const auto process_outcome = [&](const TaskOutcome& o, bool from_delay) {
+    const std::size_t duplicates =
+        cover.add(salvage_chunk_stream(o.stream_text, o.source));
     if (from_delay && duplicates > 0) ++rep.shards_straggler;
   };
 
@@ -514,15 +446,12 @@ CampaignResult dispatch_campaign(const Scenario& scenario,
   std::vector<TaskOutcome> outcomes = executor.run_wave(tasks);
 
   for (std::size_t round = 0;; ++round) {
-    for (TaskOutcome& o : outcomes) process_outcome(o, false);
-    for (TaskOutcome& o : executor.collect_delayed()) {
+    for (const TaskOutcome& o : outcomes) process_outcome(o, false);
+    for (const TaskOutcome& o : executor.collect_delayed()) {
       process_outcome(o, true);
     }
 
-    std::vector<std::size_t> missing;
-    for (std::size_t id = 0; id < accepted.size(); ++id) {
-      if (!accepted[id].has_value()) missing.push_back(id);
-    }
+    const std::vector<std::size_t> missing = cover.missing();
     if (missing.empty()) break;
     if (round >= dispatch.max_rounds) {
       throw DispatchError(
@@ -553,115 +482,51 @@ CampaignResult dispatch_campaign(const Scenario& scenario,
   }
 
   // Account stragglers that were still in flight when recovery finished.
-  for (TaskOutcome& o : executor.drain()) process_outcome(o, true);
-  for (std::size_t i = 0; i < K; ++i) {
-    if (!slot_complete[i]) ++rep.shards_dead;
-  }
+  for (const TaskOutcome& o : executor.drain()) process_outcome(o, true);
 
-  add_dispatch_counters(rep);
-  CampaignResult result =
-      fold_canonical(scenario, options.seed, global, accepted);
+  CampaignResult result = cover.fold();
+  finish_report(cover, rep);
   if (report != nullptr) *report = std::move(rep);
   return result;
 }
 
 CampaignResult recover_campaign(const Scenario& scenario,
                                 const CampaignOptions& options,
-                                const std::vector<SalvagedStream>& streams,
+                                std::vector<ChunkStream> streams,
                                 DispatchReport* report) {
-  const SalvagedStream* first = nullptr;
-  for (const SalvagedStream& s : streams) {
-    if (s.header_valid) {
-      first = &s;
-      break;
-    }
-  }
-  if (first == nullptr) {
+  ChunkCover cover(scenario, CoverMode::kRecover);
+  for (ChunkStream& s : streams) cover.add(std::move(s));
+  const ChunkStreamHeader* id = cover.identity();
+  if (id == nullptr) {
     throw DispatchError(
         "recover: no stream has a salvageable header — the campaign "
         "identity (scenario/seed/trials/chunk size) is unrecoverable");
   }
-  const ChunkStreamHeader& h = first->header;
-  if (h.scenario != scenario.name) {
-    throw DispatchError("recover: streams are for scenario '" + h.scenario +
-                        "', not '" + scenario.name + "'");
-  }
-  // Campaign identity from the salvaged header; execution knobs (worker
-  // threads, reuse, snapshots) from the caller.
-  CampaignOptions ropt = options;
-  ropt.seed = h.seed;
-  ropt.trials_per_point = h.trials_per_point;
-  ropt.chunk_size = h.chunk_size;
-  const std::size_t K = h.shard_count;
-  const ShardPlan global = plan_shard(scenario, ropt, 1, 0);
-  if (global.trials_per_point != h.trials_per_point ||
-      global.point_count != h.point_count ||
-      global.total_chunks != h.total_chunks) {
-    throw DispatchError("recover: " + first->source +
-                        " geometry disagrees with scenario '" +
-                        scenario.name + "'");
-  }
 
   DispatchReport rep;
-  std::vector<std::optional<ChunkRecord>> accepted(global.total_chunks);
-  for (const SalvagedStream& s : streams) {
-    const bool geometry_ok =
-        s.header_valid && s.header.scenario == h.scenario &&
-        s.header.seed == h.seed &&
-        s.header.trials_per_point == h.trials_per_point &&
-        s.header.chunk_size == h.chunk_size && s.header.shard_count == K &&
-        s.header.point_count == h.point_count &&
-        s.header.total_chunks == h.total_chunks;
-    if (geometry_ok) {
-      for (const ChunkRecord& rec : s.chunks) {
-        if (!(rec.ref == global.chunks[rec.ref.chunk_index])) break;
-        if (accepted[rec.ref.chunk_index].has_value()) {
-          ++rep.chunks_duplicate;
-          continue;
-        }
-        accepted[rec.ref.chunk_index] = rec;
-      }
-    }
-    if (geometry_ok && s.complete) {
-      ++rep.streams_complete;
-      ++rep.metrics.shards;
-      rep.metrics.threads += s.trailer.threads;
-      rep.metrics.wall_ns += s.trailer.wall_ns;
-      rep.metrics.report.merge(s.trailer.report);
-    } else {
-      ++rep.shards_dead;
-    }
-  }
-
-  std::vector<std::size_t> missing;
-  for (std::size_t id = 0; id < accepted.size(); ++id) {
-    if (!accepted[id].has_value()) missing.push_back(id);
-  }
+  const std::vector<std::size_t> missing = cover.missing();
   if (!missing.empty()) {
     // One in-process repair execution covers every missing chunk —
     // chunk identity, not worker identity, keys the trial seeds, so
     // this is bit-identical to what the dead shards would have run.
+    // Campaign identity comes from the headers; execution knobs
+    // (threads, reuse, snapshots) from the caller.
+    CampaignOptions ropt = options;
+    ropt.seed = id->seed;
+    ropt.trials_per_point = id->trials_per_point;
+    ropt.chunk_size = id->chunk_size;
     rep.rounds = 1;
     rep.chunks_redealt = missing.size();
     rep.tasks_retried = 1;
     const ShardExecution exec = run_campaign_chunks(
-        scenario, ropt, make_repair_plan(scenario, ropt, K, 0, missing));
-    for (std::size_t c = 0; c < exec.plan.chunks.size(); ++c) {
-      ChunkRecord rec;
-      rec.ref = exec.plan.chunks[c];
-      rec.metrics = exec.chunk_metrics[c];
-      accepted[rec.ref.chunk_index] = std::move(rec);
-    }
-    ++rep.streams_complete;
-    ++rep.metrics.shards;
-    rep.metrics.threads += exec.threads;
-    rep.metrics.wall_ns +=
-        static_cast<std::uint64_t>(exec.wall_seconds * 1e9);
-    rep.metrics.report.merge(exec.metrics);
+        scenario, ropt,
+        make_repair_plan(scenario, ropt, id->shard_count, 0, missing));
+    cover.add(salvage_chunk_stream(
+        serialize_chunk_stream(scenario, ropt, exec), "recover repair"));
   }
 
-  add_dispatch_counters(rep);
-  CampaignResult result = fold_canonical(scenario, h.seed, global, accepted);
+  CampaignResult result = cover.fold();
+  finish_report(cover, rep);
   if (report != nullptr) *report = std::move(rep);
   return result;
 }

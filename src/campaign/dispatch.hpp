@@ -12,21 +12,22 @@
 /// bits the dead shard would have produced, and folding records in
 /// ascending chunk id erases the recovery history from the result:
 ///
-///     deal tasks ──Executor──▶ streams ──salvage──▶ valid-prefix
-///        ▲                                           records
-///        │                                              │
-///     re-deal  ◀── missing chunk ids ◀── first-wins dedup by id
-///     (repair                                           │
-///      plans)                              all ids covered? ──▶ fold
-///                                                              (ascending)
+///     deal tasks ──Executor──▶ streams ──salvage──▶ ChunkCover
+///        ▲                                     (recover mode)
+///        │                                           │
+///     re-deal  ◀──────── missing chunk ids ◀─────────┤
+///     (repair                                        │
+///      plans)                       all ids covered? ──▶ fold
+///                                                      (ascending)
 ///
-/// The recovery loop trusts nothing but validated records: streams are
-/// parsed in salvage mode (chunk_stream.hpp) so only lines the strict
-/// parser would accept survive, per-line CRCs reject silent corruption,
-/// and every record must match the global chunk enumeration recomputed
-/// from the scenario. Duplicates (a straggler finishing after its chunks
-/// were re-dealt) are suppressed first-wins — harmless either way, since
-/// determinism makes both copies bit-identical.
+/// The dispatcher owns only the waves and their accounting. Which
+/// records count is the cover's decision (chunk_stream.hpp), the same
+/// one `--merge` and `--recover` use: streams are read by the one
+/// salvaging reader, a sealed header from another campaign is an error,
+/// every record is pinned to the global chunk enumeration, and
+/// duplicates (a straggler finishing after its chunks were re-dealt)
+/// are dropped first-wins — harmless either way, since determinism makes
+/// both copies bit-identical.
 ///
 /// Every recovery path is exercised deterministically through FaultPlan:
 /// a declarative list of faults (kill after N records, truncate at a
@@ -233,17 +234,17 @@ struct DispatchOptions {
 };
 
 /// How the campaign was recovered: the dispatcher's own accounting plus
-/// the aggregated trailers of every COMPLETE stream (partial streams
-/// lose their counters with their trailer; their salvaged records are
-/// still merged). Trailers of duplicated work (stragglers, their repair
-/// tasks) all count, so `deployments_built + deployments_reused` equals
-/// trials *executed*, which exceeds trials *merged* exactly when work
-/// was duplicated.
+/// the cover's (duplicates, dead shards, and the aggregated trailers of
+/// every COMPLETE stream; partial streams lose their counters with their
+/// trailer, their salvaged records are still merged). Trailers of
+/// duplicated work (stragglers, their repair tasks) all count, so
+/// `deployments_built + deployments_reused` equals trials *executed*,
+/// which exceeds trials *merged* exactly when work was duplicated.
 struct DispatchReport {
   std::size_t rounds = 0;  ///< recovery rounds actually run
   std::size_t chunks_redealt = 0;
   std::size_t chunks_duplicate = 0;
-  std::size_t shards_dead = 0;        ///< gen-0 slots with no complete stream
+  std::size_t shards_dead = 0;  ///< K minus shards with a complete deal stream
   std::size_t shards_straggler = 0;   ///< outcomes delivered only duplicates
   std::size_t tasks_retried = 0;      ///< repair tasks launched
   std::size_t streams_complete = 0;   ///< trailers aggregated into `metrics`
@@ -261,18 +262,19 @@ CampaignResult dispatch_campaign(const Scenario& scenario,
                                  Executor& executor,
                                  DispatchReport* report = nullptr);
 
-/// Offline recovery: fold already-written (possibly truncated, corrupted
-/// or missing) shard streams, then run the missing chunks in-process and
-/// fold those too. The `--recover` path — same invariants as
-/// dispatch_campaign, but the streams already exist and the "executor"
-/// for repairs is this process. `options` supplies
-/// the worker thread count for the repair run; campaign identity (seed,
-/// trials, chunk size, shard count) comes from the salvaged headers.
-/// Throws DispatchError when no stream yields a valid header or the
-/// headers disagree with `scenario`.
+/// Offline recovery (`--recover`): the recover-mode cover over
+/// already-written (possibly truncated, corrupted or missing) shard
+/// streams, plus one in-process run_campaign_chunks over the ids still
+/// missing. Campaign identity (seed, trials, chunk size, shard count)
+/// comes from the first sealed header; `options` supplies the execution
+/// knobs (threads, reuse, snapshots) of the repair run. Over an intact
+/// stream set it runs nothing and equals merge_chunk_streams. Throws
+/// DispatchError when no stream has a sealed header, and
+/// ChunkStreamError, as `--merge` does, when a sealed header disagrees
+/// with the campaign or `scenario`.
 CampaignResult recover_campaign(const Scenario& scenario,
                                 const CampaignOptions& options,
-                                const std::vector<SalvagedStream>& streams,
+                                std::vector<ChunkStream> streams,
                                 DispatchReport* report = nullptr);
 
 }  // namespace hs::campaign

@@ -474,11 +474,11 @@ std::vector<TrialSample> run_trial(const Scenario& scenario,
   return {};
 }
 
-std::array<StreamingStats, kMetricCount> run_chunk(
-    const Scenario& scenario, std::uint64_t campaign_seed,
-    const ChunkRef& chunk, shield::TrialContext* context,
-    std::uint64_t warmup_seed, snapshot::SnapshotCache* cache) {
-  std::array<StreamingStats, kMetricCount> metrics{};
+ChunkMetrics run_chunk(const Scenario& scenario, std::uint64_t campaign_seed,
+                       const ChunkRef& chunk, shield::TrialContext* context,
+                       std::uint64_t warmup_seed,
+                       snapshot::SnapshotCache* cache) {
+  ChunkMetrics metrics{};
   // Re-applying the warm policy is idempotent for a dedicated worker
   // context and required for a shared one: a service worker runs chunks
   // of different campaigns back to back, each with its own warm seed.
@@ -667,42 +667,50 @@ ShardExecution run_campaign_shard(const Scenario& scenario,
       scenario, options, plan_shard(scenario, options, shard_count, shard_index));
 }
 
-CampaignResult run_campaign(const Scenario& scenario,
-                            const CampaignOptions& options) {
+CampaignResult fold_chunks(
+    const Scenario& scenario, const CampaignOptions& options,
+    const ShardPlan& plan,
+    const std::function<const ChunkMetrics&(std::size_t)>& metrics_of) {
   CampaignResult result;
   result.scenario = scenario;
   result.options = options;
-
-  ShardExecution exec = run_campaign_shard(scenario, options, 1, 0);
-  result.options.threads = exec.threads;
-  result.wall_seconds = exec.wall_seconds;
-  result.metrics = exec.metrics;
-
-  result.points.resize(exec.plan.point_count);
-  for (std::size_t p = 0; p < exec.plan.point_count; ++p) {
+  result.points.resize(plan.point_count);
+  for (std::size_t p = 0; p < plan.point_count; ++p) {
     result.points[p].point_index = p;
     result.points[p].axis_value = scenario.axis_value_at(p);
   }
-  // A single shard's chunks are already every chunk in ascending id
-  // order — fold them exactly as the multi-shard merge does. The fold is
-  // timed through its own scope so --metrics-json attributes it to
-  // stats_merge alongside the in-worker accumulation.
-  {
-    obs::MetricsRegistry fold_registry(options.metrics_timers);
-    obs::WorkerScope fold_scope(&fold_registry, nullptr, "merge");
-    {
-      obs::ScopedTimer fold_timer(obs::Phase::kStatsMerge);
-      for (std::size_t c = 0; c < exec.plan.chunks.size(); ++c) {
-        auto& point = result.points[exec.plan.chunks[c].point_index];
-        for (std::size_t m = 0; m < kMetricCount; ++m) {
-          point.metrics[m].merge(exec.chunk_metrics[c][m]);
-        }
-      }
+  for (std::size_t c = 0; c < plan.chunks.size(); ++c) {
+    const ChunkMetrics& metrics = metrics_of(c);
+    auto& point = result.points[plan.chunks[c].point_index];
+    for (std::size_t m = 0; m < kMetricCount; ++m) {
+      point.metrics[m].merge(metrics[m]);
     }
-    fold_scope.flush();
-    result.metrics.merge(fold_registry.report());
   }
-  result.total_trials = exec.plan.point_count * exec.plan.trials_per_point;
+  result.total_trials = plan.point_count * plan.trials_per_point;
+  return result;
+}
+
+CampaignResult run_campaign(const Scenario& scenario,
+                            const CampaignOptions& options) {
+  const ShardExecution exec = run_campaign_shard(scenario, options, 1, 0);
+  // A single shard's chunks are every chunk in ascending id order. The
+  // fold is timed through its own scope so --metrics-json attributes it
+  // to stats_merge alongside the in-worker accumulation.
+  CampaignResult result;
+  obs::MetricsRegistry fold_registry(options.metrics_timers);
+  obs::WorkerScope fold_scope(&fold_registry, nullptr, "merge");
+  {
+    obs::ScopedTimer fold_timer(obs::Phase::kStatsMerge);
+    result = fold_chunks(scenario, options, exec.plan,
+                         [&exec](std::size_t c) -> const ChunkMetrics& {
+                           return exec.chunk_metrics[c];
+                         });
+  }
+  fold_scope.flush();
+  result.options.threads = exec.threads;
+  result.wall_seconds = exec.wall_seconds;
+  result.metrics = exec.metrics;
+  result.metrics.merge(fold_registry.report());
   return result;
 }
 

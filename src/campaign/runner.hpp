@@ -26,6 +26,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -122,6 +123,9 @@ struct CampaignResult {
   }
 };
 
+/// One chunk's metric accumulators.
+using ChunkMetrics = std::array<StreamingStats, kMetricCount>;
+
 /// Deterministic per-trial seed derived via the Rng substream mechanism.
 std::uint64_t trial_seed(std::uint64_t campaign_seed,
                          std::string_view scenario_name,
@@ -168,7 +172,7 @@ std::vector<TrialSample> run_trial(const Scenario& scenario,
 /// calling thread. `warmup_seed` must come from campaign_warmup_seed();
 /// `cache` may be null (two-phase seeding stays on, only the snapshot
 /// cache is bypassed).
-std::array<StreamingStats, kMetricCount> run_chunk(
+ChunkMetrics run_chunk(
     const Scenario& scenario, std::uint64_t campaign_seed,
     const ChunkRef& chunk, shield::TrialContext* context,
     std::uint64_t warmup_seed, snapshot::SnapshotCache* cache);
@@ -178,7 +182,7 @@ std::array<StreamingStats, kMetricCount> run_chunk(
 /// chunk stream can serialize every chunk individually.
 struct ShardExecution {
   ShardPlan plan;
-  std::vector<std::array<StreamingStats, kMetricCount>> chunk_metrics;
+  std::vector<ChunkMetrics> chunk_metrics;
   unsigned threads = 1;
   double wall_seconds = 0.0;
   /// Merged-across-workers observability report for this shard; the
@@ -204,6 +208,18 @@ ShardExecution run_campaign_shard(const Scenario& scenario,
                                   const CampaignOptions& options,
                                   std::size_t shard_count,
                                   std::size_t shard_index);
+
+/// The fold that defines a campaign's aggregates, and the only one:
+/// every chunk's accumulators merged into its sweep point in ascending
+/// chunk id. `plan` is the whole campaign (a 1-shard plan) and
+/// `metrics_of(c)` returns plan.chunks[c]'s accumulators, read in place.
+/// Because the order is fixed by chunk id, serial, threaded, sharded,
+/// recovered and served runs all fold to the same bits. The result
+/// carries `options` as given; its runtime fields stay zero.
+CampaignResult fold_chunks(
+    const Scenario& scenario, const CampaignOptions& options,
+    const ShardPlan& plan,
+    const std::function<const ChunkMetrics&(std::size_t)>& metrics_of);
 
 /// Runs the full campaign on the configured worker pool.
 CampaignResult run_campaign(const Scenario& scenario,

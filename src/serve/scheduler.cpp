@@ -40,8 +40,7 @@ struct Scheduler::RequestState {
   std::size_t in_flight = 0;
   std::size_t completed = 0;
   std::size_t delivered = 0;
-  std::vector<std::array<campaign::StreamingStats, campaign::kMetricCount>>
-      chunk_metrics;
+  std::vector<campaign::ChunkMetrics> chunk_metrics;
   // steady_clock is allowlisted for this file in LINT.toml: request
   // latency timing is service observability, never trial input.
   std::chrono::steady_clock::time_point admitted_at;
@@ -267,25 +266,16 @@ std::uint64_t Scheduler::estimate_retry_ms_locked() const {
 
 campaign::CampaignResult Scheduler::assemble_result(
     const RequestState& req) const {
-  campaign::CampaignResult result;
-  result.scenario = req.scenario;
-  result.options = req.options;
-  result.options.trials_per_point = req.plan.trials_per_point;  // resolved
-  result.points.resize(req.plan.point_count);
-  for (std::size_t p = 0; p < req.plan.point_count; ++p) {
-    result.points[p].point_index = p;
-    result.points[p].axis_value = req.scenario.axis_value_at(p);
-  }
-  // The determinism-defining fold: ascending chunk id, exactly like
-  // run_campaign and merge_chunk_streams. A 1-shard plan's chunks are
-  // already every chunk in ascending id order.
-  for (std::size_t c = 0; c < req.plan.chunks.size(); ++c) {
-    auto& point = result.points[req.plan.chunks[c].point_index];
-    for (std::size_t m = 0; m < campaign::kMetricCount; ++m) {
-      point.metrics[m].merge(req.chunk_metrics[c][m]);
-    }
-  }
-  result.total_trials = req.plan.point_count * req.plan.trials_per_point;
+  // The determinism-defining fold, the same one run_campaign and the
+  // stream cover use. A 1-shard plan's chunks are every chunk in
+  // ascending id order.
+  campaign::CampaignOptions options = req.options;
+  options.trials_per_point = req.plan.trials_per_point;  // resolved
+  campaign::CampaignResult result = campaign::fold_chunks(
+      req.scenario, options, req.plan,
+      [&req](std::size_t c) -> const campaign::ChunkMetrics& {
+        return req.chunk_metrics[c];
+      });
   campaign::canonicalize(result);
   return result;
 }

@@ -6,7 +6,9 @@
 // chunks were re-dealt is suppressed without double-merging and the
 // executed-trial accounting stays exact; (4) FaultPlan text form
 // round-trips and rejects malformed specs; (5) recover_campaign folds
-// damaged on-disk streams back to the serial bytes; (6) unrecoverable
+// damaged on-disk streams back to the serial bytes, refuses a foreign
+// header exactly as --merge does, counts dead shards as the dispatcher
+// does, and equals --merge on intact input; (6) unrecoverable
 // loss (max_rounds exhausted) raises DispatchError instead of emitting
 // a short report.
 //
@@ -255,7 +257,7 @@ TEST(Recover, FoldsDamagedStreamsBackToSerialBytes) {
   // Shard 0 intact, shard 1 killed after 1 record, shard 2 missing
   // entirely (its file was never written).
   const FaultPlan faults = FaultPlan::parse("kill:1@1");
-  std::vector<SalvagedStream> streams;
+  std::vector<ChunkStream> streams;
   for (std::size_t i = 0; i < 2; ++i) {
     std::string text = serialize_chunk_stream(
         s, opt, run_campaign_shard(s, opt, k, i));
@@ -264,7 +266,7 @@ TEST(Recover, FoldsDamagedStreamsBackToSerialBytes) {
     streams.push_back(
         salvage_chunk_stream(text, "shard-" + std::to_string(i)));
   }
-  SalvagedStream missing;
+  ChunkStream missing;
   missing.source = "shard-2";
   streams.push_back(missing);
 
@@ -277,10 +279,91 @@ TEST(Recover, FoldsDamagedStreamsBackToSerialBytes) {
   EXPECT_EQ(rep.streams_complete, 2u);
 }
 
+/// The K deal streams of one campaign, serialized and read back.
+std::vector<ChunkStream> deal_streams(const Scenario& s,
+                                      const CampaignOptions& opt,
+                                      std::size_t k, const char* prefix) {
+  std::vector<ChunkStream> streams;
+  for (std::size_t i = 0; i < k; ++i) {
+    streams.push_back(salvage_chunk_stream(
+        serialize_chunk_stream(s, opt, run_campaign_shard(s, opt, k, i)),
+        prefix + std::to_string(i) + ".jsonl"));
+  }
+  return streams;
+}
+
+TEST(Recover, ForeignHeaderIsTheMergeError) {
+  // Shard 1 of the same split at another seed: a sealed header from a
+  // different campaign. --merge refuses it; --recover must refuse it
+  // with the same error instead of re-running shard 1 under seed 13.
+  const Scenario s = shrunk("fig8-tradeoff", {10, 20}, 1);
+  const CampaignOptions opt = small_options();
+  CampaignOptions other = opt;
+  other.seed = opt.seed + 1;
+  std::vector<ChunkStream> streams = deal_streams(s, opt, 3, "a-");
+  streams[1] = deal_streams(s, other, 3, "b-")[1];
+
+  std::string merge_error;
+  try {
+    merge_chunk_streams(s, streams);
+  } catch (const ChunkStreamError& e) {
+    merge_error = e.what();
+  }
+  EXPECT_NE(merge_error.find("disagrees"), std::string::npos) << merge_error;
+  try {
+    recover_campaign(s, opt, streams);
+    FAIL() << "a foreign header must not be recovered";
+  } catch (const ChunkStreamError& e) {
+    EXPECT_EQ(std::string(e.what()), merge_error);
+    EXPECT_NE(merge_error.find("b-1.jsonl"), std::string::npos);
+    EXPECT_NE(merge_error.find("a-0.jsonl"), std::string::npos);
+  }
+}
+
+TEST(Recover, UnseenShardCountsAsDead) {
+  // Two of three streams passed: shard 2's file never appeared. Dead
+  // shards are K minus the shards with a complete deal stream, as the
+  // dispatcher counts them.
+  const Scenario s = shrunk("fig8-tradeoff", {10, 20}, 1);
+  const CampaignOptions opt = small_options();
+  std::vector<ChunkStream> streams = deal_streams(s, opt, 3, "a-");
+  const std::size_t lost = streams[2].chunks.size();
+  streams.pop_back();
+  DispatchReport rep;
+  expect_matches(recover_campaign(s, opt, streams, &rep),
+                 serial_baseline(s, opt), "two of three");
+  EXPECT_EQ(rep.shards_dead, 1u);
+  EXPECT_EQ(rep.chunks_redealt, lost);
+  EXPECT_EQ(rep.metrics.report.counter(obs::Counter::kShardsDead), 1u);
+}
+
+TEST(Recover, IntactStreamsEqualTheStrictMerge) {
+  // Over an intact stream set --recover executes nothing and is --merge:
+  // the same report bytes and the same summed trailers.
+  for (const Scenario& s : {shrunk("fig8-tradeoff", {10, 20}, 1),
+                            shrunk("fig11-trigger", {1, 9}, 1)}) {
+    SCOPED_TRACE(s.name);
+    const CampaignOptions opt = small_options();
+    const std::vector<ChunkStream> streams = deal_streams(s, opt, 3, "s-");
+    MergedMetrics merged;
+    const CampaignResult strict = merge_chunk_streams(s, streams, &merged);
+    DispatchReport rep;
+    const CampaignResult recovered = recover_campaign(s, opt, streams, &rep);
+    EXPECT_EQ(to_csv(recovered), to_csv(strict));
+    EXPECT_EQ(to_json(recovered), to_json(strict));
+    EXPECT_EQ(rep.chunks_redealt, 0u);
+    EXPECT_EQ(rep.tasks_retried, 0u);
+    EXPECT_EQ(rep.shards_dead, 0u);
+    EXPECT_EQ(rep.metrics.shards, merged.shards);
+    EXPECT_EQ(rep.metrics.threads, merged.threads);
+    EXPECT_EQ(rep.metrics.report, merged.report);
+  }
+}
+
 TEST(Recover, AllStreamsInvalidRaises) {
   const Scenario s = shrunk("fig5-jam-shaped", {}, 1);
   const CampaignOptions opt = small_options();
-  std::vector<SalvagedStream> streams(2);
+  std::vector<ChunkStream> streams(2);
   streams[0].source = "a";
   streams[1].source = "b";
   EXPECT_THROW(recover_campaign(s, opt, streams), DispatchError);

@@ -354,7 +354,7 @@ TEST_F(ChunkStreamCorruption, MergeRejectsMismatchedStreams) {
 
 TEST_F(ChunkStreamCorruption, SalvageOfCompleteStreamEqualsStrictParse) {
   const ChunkStream strict = parse_chunk_stream(text_, "strict");
-  const SalvagedStream s = salvage_chunk_stream(text_, "salvage");
+  const ChunkStream s = salvage_chunk_stream(text_, "salvage");
   EXPECT_TRUE(s.header_valid);
   EXPECT_TRUE(s.complete);
   EXPECT_TRUE(s.truncation_reason.empty());
@@ -372,7 +372,7 @@ TEST_F(ChunkStreamCorruption, SalvageOfCompleteStreamEqualsStrictParse) {
 /// salvage accepts is bit-equal to a prefix of the intact stream's
 /// records — never a record the strict parser would reject, never a
 /// reordered or altered one.
-void expect_valid_prefix(const SalvagedStream& s, const ChunkStream& full) {
+void expect_valid_prefix(const ChunkStream& s, const ChunkStream& full) {
   ASSERT_LE(s.chunks.size(), full.chunks.size());
   for (std::size_t c = 0; c < s.chunks.size(); ++c) {
     ASSERT_EQ(s.chunks[c].ref, full.chunks[c].ref);
@@ -395,7 +395,7 @@ void expect_valid_prefix(const SalvagedStream& s, const ChunkStream& full) {
 TEST_F(ChunkStreamCorruption, SalvageEveryByteTruncationIsValidPrefix) {
   const ChunkStream full = parse_chunk_stream(text_, "full");
   for (std::size_t cut = 0; cut < text_.size(); ++cut) {
-    const SalvagedStream s =
+    const ChunkStream s =
         salvage_chunk_stream(text_.substr(0, cut), "cut");
     ASSERT_FALSE(s.complete) << "cut at byte " << cut;
     ASSERT_FALSE(s.truncation_reason.empty()) << "cut at byte " << cut;
@@ -414,7 +414,7 @@ TEST_F(ChunkStreamCorruption, SalvageEverySingleByteCorruptionIsCaught) {
   for (std::size_t pos = 0; pos < text_.size(); ++pos) {
     std::string mutated = text_;
     mutated[pos] ^= 0x01;
-    const SalvagedStream s = salvage_chunk_stream(mutated, "flip");
+    const ChunkStream s = salvage_chunk_stream(mutated, "flip");
     ASSERT_FALSE(s.complete) << "flip at byte " << pos;
     expect_valid_prefix(s, full);
     if (::testing::Test::HasFatalFailure()) {
@@ -430,7 +430,7 @@ TEST_F(ChunkStreamCorruption, SalvageEverySingleByteCorruptionIsCaught) {
     if (replacement == text_[pos]) continue;
     std::string mutated = text_;
     mutated[pos] = replacement;
-    const SalvagedStream s = salvage_chunk_stream(mutated, "mut");
+    const ChunkStream s = salvage_chunk_stream(mutated, "mut");
     ASSERT_FALSE(s.complete) << "rewrite at byte " << pos;
     expect_valid_prefix(s, full);
     if (::testing::Test::HasFatalFailure()) {
@@ -448,7 +448,7 @@ TEST_F(ChunkStreamCorruption, SalvageRandomDoubleFaultsStayValidPrefixes) {
     std::string mutated = text_;
     mutated[rng() % mutated.size()] ^= static_cast<char>(1 + rng() % 255);
     mutated.resize(rng() % (mutated.size() + 1));
-    const SalvagedStream s = salvage_chunk_stream(mutated, "double");
+    const ChunkStream s = salvage_chunk_stream(mutated, "double");
     ASSERT_FALSE(s.complete);
     expect_valid_prefix(s, full);
     if (::testing::Test::HasFatalFailure()) FAIL() << "iteration " << i;
