@@ -11,8 +11,8 @@
 // report (serial, parallel, per-shard, or aggregated across shards by
 // --merge from the chunk-stream trailers); --trace writes a Chrome
 // trace-event timeline (chrome://tracing / Perfetto) of workers, chunks,
-// steals and snapshot events. Neither changes any aggregate or report
-// byte (see src/obs/metrics.hpp).
+// steals and warm-ups. Neither changes any aggregate or report byte (see
+// src/obs/metrics.hpp).
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
@@ -34,7 +34,6 @@
 #include "campaign/scenario.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "snapshot/state_io.hpp"
 
 using namespace hs;
 
@@ -82,9 +81,9 @@ void list_presets_json(std::FILE* out) {
 /// machine-greppable. Scripts (CI) use it to confirm a
 /// binary and a recorded artifact speak the same format.
 void print_versions(std::FILE* out) {
-  std::fprintf(out, "chunk-stream %d\nsnapshot %d\nmetrics %d\ntrace %d\n",
-               campaign::kChunkStreamVersion, snapshot::kSnapshotVersion,
-               obs::kMetricsVersion, obs::kTraceVersion);
+  std::fprintf(out, "chunk-stream %d\nmetrics %d\ntrace %d\n",
+               campaign::kChunkStreamVersion, obs::kMetricsVersion,
+               obs::kTraceVersion);
 }
 
 int usage(const char* argv0, bool is_error) {
@@ -94,9 +93,8 @@ int usage(const char* argv0, bool is_error) {
       is_error ? stderr : stdout,
       "usage: %s [--list [--json]] [--scenario=NAME] [--seed=N]\n"
       "          [--trials=N] [--threads=N] [--chunk=N] [--no-reuse]\n"
-      "          [--no-snapshot] [--snapshot-dir=DIR] [--canonical]\n"
-      "          [--csv=PATH] [--json=PATH] [--metrics-json=PATH]\n"
-      "          [--trace=PATH] [--version]\n"
+      "          [--canonical] [--csv=PATH] [--json=PATH]\n"
+      "          [--metrics-json=PATH] [--trace=PATH] [--version]\n"
       "          [--timeout-seconds=N]\n"
       "       %s --shards=K --shard=I --emit-chunks=PATH [run options]\n"
       "          [--chunks=ID,ID,...] [--fault-plan=SPEC]\n"
@@ -113,14 +111,9 @@ int usage(const char* argv0, bool is_error) {
       "  --list --json emits the preset list as machine-readable JSON.\n"
       "  --no-reuse rebuilds the deployment for every trial instead of\n"
       "  reset-and-reseeding the worker's pooled one (identical\n"
-      "  aggregates, slower; the escape hatch for A/B timing).\n"
-      "  Warm-state snapshots are on by default: a newly built deployment\n"
-      "  restores its post-warm-up state from an in-memory snapshot\n"
-      "  instead of re-simulating the warm-up. --snapshot-dir=DIR\n"
-      "  persists the snapshots as <key>.hsnap files shared across\n"
-      "  processes (the directory must exist); --no-snapshot disables\n"
-      "  the cache.\n"
-      "  Aggregates and reports are byte-identical either way.\n"
+      "  aggregates, slower; the escape hatch for A/B timing). Either\n"
+      "  way a newly built deployment simulates its warm-up, and a\n"
+      "  reset one replays it.\n"
       "  --canonical zeroes the runtime fields (wall time, threads) in\n"
       "  reports so they diff cleanly against a --merge report.\n"
       "  --shards/--shard/--emit-chunks run one deterministic shard of\n"
@@ -318,14 +311,8 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(arg, "--no-reuse") == 0) {
       options.reuse_deployments = false;
       run_flag = "--no-reuse";
-    } else if (std::strcmp(arg, "--no-snapshot") == 0) {
-      options.snapshots = false;
-      run_flag = "--no-snapshot";
     } else if (std::strcmp(arg, "--canonical") == 0) {
       canonical = true;
-    } else if ((value = flag_value(arg, "--snapshot-dir", argc, argv, &i))) {
-      options.snapshot_dir = value;
-      run_flag = "--snapshot-dir";
     } else if ((value = flag_value(arg, "--scenario", argc, argv, &i))) {
       scenario_name = value;
       run_flag = identity_flag = "--scenario";
@@ -374,11 +361,6 @@ int main(int argc, char** argv) {
   if (list_json) {
     std::fprintf(stderr, "bare --json selects the JSON preset list and "
                          "needs --list (use --json=PATH for a report)\n");
-    return 1;
-  }
-  if (!options.snapshots && !options.snapshot_dir.empty()) {
-    std::fprintf(stderr,
-                 "--no-snapshot and --snapshot-dir contradict each other\n");
     return 1;
   }
 

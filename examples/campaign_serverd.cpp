@@ -1,9 +1,9 @@
-// campaign_serverd: resident campaign-as-a-service daemon. Holds the
-// snapshot cache and per-worker trial contexts warm across requests,
-// admits campaigns through a bounded queue (429-style rejection with a
-// retry-after hint when saturated), interleaves the chunks of concurrent
-// campaigns weighted-fair over one work pool, and streams each
-// campaign's v3 chunk records back incrementally. The final report of
+// campaign_serverd: resident campaign-as-a-service daemon. Keeps its
+// per-worker trial contexts across requests, admits campaigns through a
+// bounded queue (429-style rejection with a retry-after hint when
+// saturated), interleaves the chunks of concurrent campaigns
+// weighted-fair over one work pool, and streams each campaign's v3
+// chunk records back incrementally. The final report of
 // every request is byte-identical to a serial `campaign_runner` run of
 // the same (preset, seed, trials, chunk) — see serve/scheduler.hpp for
 // the determinism argument and serve/protocol.hpp for the wire format.
@@ -34,8 +34,7 @@ int usage(const char* argv0, bool is_error) {
   std::fprintf(
       is_error ? stderr : stdout,
       "usage: %s [--port=N | --unix=PATH] [--workers=N]\n"
-      "          [--max-active=N] [--max-queue=N] [--snapshot-dir=DIR]\n"
-      "          [--port-file=PATH]\n"
+      "          [--max-active=N] [--max-queue=N] [--port-file=PATH]\n"
       "  Serves the line-delimited JSON campaign protocol (see\n"
       "  docs/REPRODUCING.md) on 127.0.0.1:PORT (default: an ephemeral\n"
       "  port) or a Unix-domain socket. --port-file writes the bound TCP\n"
@@ -43,8 +42,7 @@ int usage(const char* argv0, bool is_error) {
       "  --workers=0 uses all hardware threads. --max-active bounds the\n"
       "  campaigns scheduled concurrently, --max-queue the admitted\n"
       "  backlog beyond that; a request past both is rejected with\n"
-      "  {\"type\":\"rejected\",\"code\":429,...}. --snapshot-dir shares\n"
-      "  warm snapshots with campaign_runner runs (must exist).\n"
+      "  {\"type\":\"rejected\",\"code\":429,...}.\n"
       "  SIGTERM drains gracefully: admitted campaigns finish streaming\n"
       "  before exit.\n",
       argv0);
@@ -104,8 +102,6 @@ int main(int argc, char** argv) {
       }
     } else if ((value = flag_value(arg, "--max-queue", argc, argv, &i))) {
       options.scheduler.max_queue = parse_u64(value, "--max-queue");
-    } else if ((value = flag_value(arg, "--snapshot-dir", argc, argv, &i))) {
-      options.scheduler.snapshot_dir = value;
     } else if ((value = flag_value(arg, "--port-file", argc, argv, &i))) {
       port_file = value;
     } else {

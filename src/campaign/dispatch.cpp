@@ -313,10 +313,6 @@ std::vector<TaskOutcome> SubprocessExecutor::run_wave(
     cmd += " --threads=" + std::to_string(options_.threads);
     cmd += " --chunk=" + std::to_string(options_.chunk_size);
     if (!options_.reuse_deployments) cmd += " --no-reuse";
-    if (!options_.snapshots) cmd += " --no-snapshot";
-    if (!options_.snapshot_dir.empty()) {
-      cmd += " --snapshot-dir=" + shell_quote(options_.snapshot_dir);
-    }
     cmd += " --shards=" + std::to_string(task.plan.shard_count);
     cmd += " --shard=" + std::to_string(task.slot);
     cmd += " --emit-chunks=" + shell_quote(child.path);
@@ -510,7 +506,7 @@ CampaignResult recover_campaign(const Scenario& scenario,
     // chunk identity, not worker identity, keys the trial seeds, so
     // this is bit-identical to what the dead shards would have run.
     // Campaign identity comes from the headers; execution knobs
-    // (threads, reuse, snapshots) from the caller.
+    // (threads, reuse) from the caller.
     CampaignOptions ropt = options;
     ropt.seed = id->seed;
     ropt.trials_per_point = id->trials_per_point;

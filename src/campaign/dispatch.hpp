@@ -267,7 +267,7 @@ CampaignResult dispatch_campaign(const Scenario& scenario,
 /// streams, plus one in-process run_campaign_chunks over the ids still
 /// missing. Campaign identity (seed, trials, chunk size, shard count)
 /// comes from the first sealed header; `options` supplies the execution
-/// knobs (threads, reuse, snapshots) of the repair run. Over an intact
+/// knobs (threads, reuse) of the repair run. Over an intact
 /// stream set it runs nothing and equals merge_chunk_streams. Throws
 /// DispatchError when no stream has a sealed header, and
 /// ChunkStreamError, as `--merge` does, when a sealed header disagrees

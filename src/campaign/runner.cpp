@@ -30,7 +30,6 @@
 #include "shield/multitap_antidote.hpp"
 #include "shield/trial_context.hpp"
 #include "shield/wideband.hpp"
-#include "snapshot/snapshot_cache.hpp"
 
 namespace hs::campaign {
 
@@ -477,12 +476,12 @@ std::vector<TrialSample> run_trial(const Scenario& scenario,
 ChunkMetrics run_chunk(const Scenario& scenario, std::uint64_t campaign_seed,
                        const ChunkRef& chunk, shield::TrialContext* context,
                        std::uint64_t warmup_seed,
-                       snapshot::SnapshotCache* cache) {
+                       snapshot::SnapshotCache* /*unused*/) {
   ChunkMetrics metrics{};
-  // Re-applying the warm policy is idempotent for a dedicated worker
+  // Re-applying the warm seed is idempotent for a dedicated worker
   // context and required for a shared one: a service worker runs chunks
   // of different campaigns back to back, each with its own warm seed.
-  if (context != nullptr) context->set_warm_policy(warmup_seed, cache);
+  if (context != nullptr) context->set_warm_policy(warmup_seed);
   const double axis_value = scenario.axis_value_at(chunk.point_index);
   for (std::size_t t = chunk.trial_begin; t < chunk.trial_end; ++t) {
     const std::uint64_t seed =
@@ -495,10 +494,10 @@ ChunkMetrics run_chunk(const Scenario& scenario, std::uint64_t campaign_seed,
             run_trial(scenario, chunk.point_index, axis_value, seed, context);
       } else {
         // The A/B baseline: a throwaway context per trial keeps every
-        // node freshly constructed (only the warm policy carries over,
-        // so aggregates still match the pooled path bit-for-bit).
+        // node freshly constructed (only the warm seed carries over, so
+        // aggregates still match the pooled path bit-for-bit).
         shield::TrialContext fresh;
-        fresh.set_warm_policy(warmup_seed, cache);
+        fresh.set_warm_policy(warmup_seed);
         samples =
             run_trial(scenario, chunk.point_index, axis_value, seed, &fresh);
       }
@@ -545,17 +544,9 @@ ShardExecution run_campaign_chunks(const Scenario& scenario,
 
   // Two-phase seeding is unconditional for campaign trials: warm-up
   // streams draw from the shared campaign warm-up seed, trial streams
-  // from the per-trial seed. Snapshots only change HOW the post-warm-up
-  // state is reached (restore vs re-simulation), never what it is — so
-  // --no-snapshot runs stay byte-identical to snapshot runs.
+  // from the per-trial seed. These streams define the report bytes.
   const std::uint64_t warm_seed =
       campaign_warmup_seed(options.seed, scenario.name);
-  // One cache per shard execution, shared by every worker thread (it is
-  // internally locked; parsed snapshot documents are shared read-only).
-  // With a directory it is also shared by concurrent shard processes.
-  std::optional<snapshot::SnapshotCache> cache;
-  if (options.snapshots) cache.emplace(options.snapshot_dir);
-  snapshot::SnapshotCache* cache_ptr = cache ? &*cache : nullptr;
 
   // Shared observability sink: workers accumulate counters (and, with
   // CampaignOptions::metrics_timers, phase timers) into thread-local
@@ -573,7 +564,7 @@ ShardExecution run_campaign_chunks(const Scenario& scenario,
     // One trial-context pool per worker: deployments and experiment nodes
     // are reset-and-reseeded between this worker's trials instead of
     // reconstructed (bit-identical either way; see trial_context.hpp).
-    // run_chunk applies the warm policy on every chunk.
+    // run_chunk applies the warm seed on every chunk.
     shield::TrialContext pool;
     shield::TrialContext* context = options.reuse_deployments ? &pool : nullptr;
     for (;;) {
@@ -612,8 +603,8 @@ ShardExecution run_campaign_chunks(const Scenario& scenario,
                              "chunk " + std::to_string(chunk.chunk_index),
                              std::string(args));
         }
-        exec.chunk_metrics[*c] = run_chunk(scenario, options.seed, chunk,
-                                           context, warm_seed, cache_ptr);
+        exec.chunk_metrics[*c] =
+            run_chunk(scenario, options.seed, chunk, context, warm_seed);
       }
       obs::count(obs::Counter::kChunks);
       oscope.flush();  // chunk boundary: fold the thread block + spans

@@ -61,17 +61,6 @@ struct CampaignOptions {
   /// than reconstructing it per trial. Aggregates are bit-identical
   /// either way; false is the `--no-reuse` escape hatch.
   bool reuse_deployments = true;
-  /// Restore post-warm-up deployment state from warm snapshots instead of
-  /// re-simulating the warm-up on every trial (see src/snapshot/). The
-  /// per-trial RNG streams always run two-phase (warm-up streams keyed by
-  /// campaign_warmup_seed, trial streams by the trial seed), so
-  /// aggregates are bit-identical with snapshots on or off — `false` is
-  /// the `--no-snapshot` escape hatch that only disables the cache.
-  bool snapshots = true;
-  /// Directory for persisted `<key>.hsnap` snapshot files (must exist).
-  /// Empty keeps the cache in-memory; set it to share one warm-up across
-  /// the K processes of a sharded campaign.
-  std::string snapshot_dir;
   /// Print periodic `shard i/K: chunks c/C` progress lines to stderr
   /// (enabled by the CLI's shard mode).
   bool progress = false;
@@ -110,8 +99,8 @@ struct CampaignResult {
   std::size_t total_trials = 0;
   double wall_seconds = 0.0;
   /// Merged observability report: the pool counters (deployments built
-  /// and reused, chunks stolen, snapshots restored and saved, ...) plus,
-  /// when CampaignOptions::metrics_timers was set, per-phase wall time.
+  /// and reused, chunks stolen, ...) plus, when
+  /// CampaignOptions::metrics_timers was set, per-phase wall time.
   /// Runtime-only — reports/CSV/JSON never include it, so canonical
   /// outputs stay byte-identical with metrics on or off.
   obs::Report metrics;
@@ -134,8 +123,7 @@ std::uint64_t trial_seed(std::uint64_t campaign_seed,
 /// The warm-up seed every trial, worker and shard of a campaign shares
 /// (two-phase seeding; see DeploymentOptions::warmup_seed). A pure
 /// function of (campaign seed, scenario name) so shard processes agree
-/// on it — and on the snapshot keys derived from it — without
-/// communicating.
+/// on it without communicating.
 std::uint64_t campaign_warmup_seed(std::uint64_t campaign_seed,
                                    std::string_view scenario_name);
 
@@ -164,18 +152,19 @@ std::vector<TrialSample> run_trial(const Scenario& scenario,
 /// reproduces the serial aggregates bit-for-bit once chunks are folded
 /// in ascending chunk id.
 ///
-/// `context` is the caller's resident TrialContext (its warm policy is
-/// (re)applied from `warmup_seed`/`cache` on every call, so one context
-/// may serve chunks of different campaigns back to back). A null
-/// `context` builds a fresh context per trial — the `--no-reuse` A/B
-/// baseline. Pool events are counted through the obs counters of the
-/// calling thread. `warmup_seed` must come from campaign_warmup_seed();
-/// `cache` may be null (two-phase seeding stays on, only the snapshot
-/// cache is bypassed).
+/// `context` is the caller's resident TrialContext (its warm seed is
+/// (re)applied from `warmup_seed` on every call, so one context may
+/// serve chunks of different campaigns back to back). A null `context`
+/// builds a fresh context per trial — the `--no-reuse` A/B baseline.
+/// Either way a cold start is deployment build + warm-up. Pool events
+/// are counted through the obs counters of the calling thread.
+/// `warmup_seed` must come from campaign_warmup_seed(). `cache` is
+/// unused; it remains only for the repository benchmark (hsbench/),
+/// which still passes one.
 ChunkMetrics run_chunk(
     const Scenario& scenario, std::uint64_t campaign_seed,
     const ChunkRef& chunk, shield::TrialContext* context,
-    std::uint64_t warmup_seed, snapshot::SnapshotCache* cache);
+    std::uint64_t warmup_seed, snapshot::SnapshotCache* cache = nullptr);
 
 /// One shard's execution: per-chunk accumulators (parallel to
 /// plan.chunks) plus the observability report. Kept un-merged so the

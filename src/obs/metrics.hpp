@@ -51,6 +51,8 @@ enum class Counter : unsigned {
   kChunksStolen,
   kDeploymentsBuilt,
   kDeploymentsReused,
+  /// Warm-snapshot restores and saves. No execution path takes either any
+  /// more, so both read 0; they stay in the v3 schema for its readers.
   kSnapshotsRestored,
   kSnapshotsSaved,
   /// Chunks whose original shard lost them (dead/straggler/corrupt) and
@@ -85,9 +87,9 @@ bool counter_from_name(std::string_view name, Counter* out);
 /// Instrumented phases of a campaign. Wall-clock per phase accumulates
 /// only while timers are enabled for the attached thread.
 enum class Phase : unsigned {
-  kWarmup,           ///< deployment warm-up simulation (cold path)
-  kSnapshotSave,     ///< warm-state capture + publish to the cache
-  kSnapshotRestore,  ///< warm-state restore from a cached snapshot
+  kWarmup,           ///< deployment warm-up simulation (build or reset)
+  kSnapshotSave,     ///< unused since cold starts stopped saving; reads 0
+  kSnapshotRestore,  ///< unused since cold starts stopped restoring; reads 0
   kMediumMix,        ///< channel::Medium::mix per-block TX->RX mixing
   kJamgen,           ///< jamming waveform synthesis (IFFT shaping)
   kReceiverDemod,    ///< FSK receiver push: detection + demodulation

@@ -52,7 +52,7 @@ struct Scheduler::RequestState {
 };
 
 Scheduler::Scheduler(SchedulerOptions options, obs::ServiceStats* stats)
-    : options_(options), stats_(stats), cache_(options.snapshot_dir) {
+    : options_(options), stats_(stats) {
   unsigned workers = options_.workers > 0
                          ? options_.workers
                          : std::max(1u, std::thread::hardware_concurrency());
@@ -75,7 +75,6 @@ Admission Scheduler::submit(const campaign::Scenario& scenario,
   state->options.chunk_size = std::max<std::size_t>(request.chunk_size, 1);
   state->options.threads = 1;
   state->options.reuse_deployments = request.reuse;
-  state->options.snapshots = request.snapshots;
   state->plan = campaign::plan_shard(scenario, state->options, 1, 0);
   state->warm_seed =
       campaign::campaign_warmup_seed(request.seed, scenario.name);
@@ -299,8 +298,7 @@ void Scheduler::worker_loop() {
     const auto c0 = std::chrono::steady_clock::now();
     auto metrics = campaign::run_chunk(
         req->scenario, req->options.seed, chunk,
-        req->options.reuse_deployments ? &pool : nullptr, req->warm_seed,
-        req->options.snapshots ? &cache_ : nullptr);
+        req->options.reuse_deployments ? &pool : nullptr, req->warm_seed);
     const double chunk_ms =
         ms_between(c0, std::chrono::steady_clock::now());
     stats_->on_chunk();

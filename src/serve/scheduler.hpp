@@ -19,9 +19,9 @@
 /// run and whether a report is produced — never its bytes.
 ///
 /// Warm state stays resident across requests: one shield::TrialContext
-/// per worker (run_chunk re-applies each request's warm policy per
-/// chunk) and one shared snapshot::SnapshotCache, so a new request for
-/// an already-warmed configuration skips its warm-up entirely.
+/// per worker (run_chunk re-applies each request's warm seed per chunk).
+/// A worker builds a deployment once and afterwards resets it, which
+/// replays the warm-up.
 #pragma once
 
 #include <chrono>
@@ -40,7 +40,6 @@
 #include "campaign/runner.hpp"
 #include "obs/service_stats.hpp"
 #include "serve/protocol.hpp"
-#include "snapshot/snapshot_cache.hpp"
 
 namespace hs::serve {
 
@@ -52,8 +51,6 @@ struct SchedulerOptions {
   /// Admitted requests queued beyond the active set; a submit that finds
   /// the queue full is rejected with a retry-after hint (429-style).
   std::size_t max_queue = 8;
-  /// Snapshot directory shared by all workers ("" = in-memory cache).
-  std::string snapshot_dir;
 };
 
 /// submit()'s admission decision. For admitted requests `header_line`
@@ -138,7 +135,6 @@ class Scheduler {
 
   SchedulerOptions options_;
   obs::ServiceStats* stats_;
-  snapshot::SnapshotCache cache_;
 
   mutable std::mutex mutex_;
   std::condition_variable cv_work_;

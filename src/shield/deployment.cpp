@@ -79,18 +79,6 @@ Deployment::Deployment(const DeploymentOptions& options) : options_(options) {
   begin_trial(options_.seed);
 }
 
-Deployment::Deployment(const snapshot::StateDoc& warm,
-                       const DeploymentOptions& options)
-    : Deployment([&options] {
-        // Build the node set without simulating the warm-up — every field
-        // the skipped warm-up would have produced is about to be restored.
-        DeploymentOptions skip = options;
-        skip.warmup_s = 0.0;
-        return skip;
-      }()) {
-  restore_warm(warm, options);
-}
-
 void Deployment::wire_shield_directivity() {
   // The necklace's antennas face outward, away from the chest: extra
   // attenuation from the shield toward the IMD (calibrated vs Table 1).

@@ -27,14 +27,15 @@ namespace hs::shield {
 
 struct DeploymentOptions {
   std::uint64_t seed = 1;
-  /// Two-phase seeding for warm-state snapshots. When nonzero,
-  /// construction and warm-up draw every stream from THIS seed, and the
-  /// per-trial streams are reseeded from `seed` afterwards (see
-  /// Deployment::begin_trial) — so the post-warmup state is a pure
-  /// function of the configuration + warmup_seed and one snapshot of it
-  /// serves every trial, shard and process. Zero keeps the single-phase
-  /// legacy behavior: everything draws from `seed`, no post-warmup
-  /// reseed (existing tests and examples are bit-for-bit unchanged).
+  /// Two-phase seeding. When nonzero, construction and warm-up draw
+  /// every stream from THIS seed, and the per-trial streams are reseeded
+  /// from `seed` afterwards (see Deployment::begin_trial) — so the
+  /// post-warmup state is a pure function of the configuration +
+  /// warmup_seed, shared by every trial, shard and process of a
+  /// campaign. The campaign engine always sets it; its streams define
+  /// the report bytes. Zero keeps the single-phase legacy behavior:
+  /// everything draws from `seed`, no post-warmup reseed (existing tests
+  /// and examples are bit-for-bit unchanged).
   std::uint64_t warmup_seed = 0;
   imd::ImdProfile imd_profile = imd::virtuoso_profile();
   bool shield_present = true;
@@ -55,14 +56,6 @@ struct DeploymentOptions {
 class Deployment {
  public:
   explicit Deployment(const DeploymentOptions& options);
-
-  /// Builds the node set for `options` WITHOUT simulating the warm-up,
-  /// then restores the warm snapshot — the fast path for a worker's (or
-  /// shard's) first trial when another process already published the
-  /// snapshot. Equivalent to Deployment(options) followed by
-  /// restore_warm(warm, options), minus the redundant warm-up replay.
-  Deployment(const snapshot::StateDoc& warm,
-             const DeploymentOptions& options);
 
   /// True when this deployment's node set can be re-seeded into the state
   /// a fresh `Deployment(options)` would have: the set of allocated nodes
@@ -97,6 +90,9 @@ class Deployment {
   void run_for(double seconds) { timeline_->run_for(seconds); }
 
   // ---- Warm-state snapshots ---------------------------------------------
+  // No execution path saves or restores these any more (a cold start is
+  // build + warm-up); they remain for the benchmark's snapshot leaf costs
+  // and the round-trip tests.
   /// Serializes the deployment's complete state — medium, timeline/log,
   /// IMD, shield, observer — as a versioned snapshot document keyed by
   /// deployment_warm_key(options()). Taken right after construction or
@@ -119,7 +115,7 @@ class Deployment {
   /// link realizations), the IMD and the shield from per-trial streams
   /// derived from `trial_seed`. No-op in legacy single-phase mode
   /// (warmup_seed == 0). Ctor, reset() and restore_warm() all end with
-  /// this, so cold and warm-restored trials run identical code.
+  /// this, so built, reset and restored deployments run identical code.
   void begin_trial(std::uint64_t trial_seed);
 
  private:

@@ -1,74 +1,25 @@
 #include "shield/trial_context.hpp"
 
-#include <cstdio>
-
 #include "obs/metrics.hpp"
-#include "snapshot/snapshot_cache.hpp"
 
 namespace hs::shield {
 
 void TrialContext::set_warm_policy(std::uint64_t warmup_seed,
-                                   snapshot::SnapshotCache* cache) {
+                                   snapshot::SnapshotCache* /*unused*/) {
   warmup_seed_ = warmup_seed;
-  cache_ = warmup_seed != 0 ? cache : nullptr;
-}
-
-Deployment& TrialContext::cold_deployment(const DeploymentOptions& options) {
-  if (deployment_ != nullptr && deployment_->can_reset_to(options)) {
-    deployment_->reset(options);
-    obs::count(obs::Counter::kDeploymentsReused);
-  } else {
-    deployment_ = std::make_unique<Deployment>(options);
-    obs::count(obs::Counter::kDeploymentsBuilt);
-  }
-  return *deployment_;
 }
 
 Deployment& TrialContext::deployment(const DeploymentOptions& options) {
   DeploymentOptions opts = options;
   if (warmup_seed_ != 0) opts.warmup_seed = warmup_seed_;
-  if (cache_ == nullptr) return cold_deployment(opts);
   if (deployment_ != nullptr && deployment_->can_reset_to(opts)) {
-    // Replaying the warm-up through reset is cheaper than deserializing
-    // a snapshot (and bit-identical); the cache matters only when the
-    // deployment below must be (re)built.
-    return cold_deployment(opts);
-  }
-
-  const std::string key = deployment_warm_key(opts);
-  std::shared_ptr<const snapshot::StateDoc> doc = cache_->find(key);
-  if (doc == nullptr) {
-    // First trial for this configuration anywhere: warm up cold, then
-    // publish so every later trial — this worker's, its siblings', other
-    // shard processes' — restores instead of re-simulating the warm-up.
-    Deployment& d = cold_deployment(opts);
-    {
-      obs::ScopedTimer timer(obs::Phase::kSnapshotSave);
-      obs::TraceSpan span("snapshot", "snapshot_save");
-      cache_->store(key, d.save_warm());
-    }
-    obs::count(obs::Counter::kSnapshotsSaved);
-    return d;
-  }
-  try {
-    {
-      obs::ScopedTimer timer(obs::Phase::kSnapshotRestore);
-      obs::TraceSpan span("snapshot", "snapshot_restore");
-      deployment_ = std::make_unique<Deployment>(*doc, opts);
-    }
+    deployment_->reset(opts);
+    obs::count(obs::Counter::kDeploymentsReused);
+  } else {
+    deployment_ = std::make_unique<Deployment>(opts);
     obs::count(obs::Counter::kDeploymentsBuilt);
-    obs::count(obs::Counter::kSnapshotsRestored);
-    return *deployment_;
-  } catch (const snapshot::SnapshotError& e) {
-    // A restore must never half-apply: discard the touched deployment and
-    // fall back to a cold warm-up (bit-identical, just slower).
-    deployment_.reset();
-    std::fprintf(stderr,
-                 "snapshot: restore failed (%s); falling back to cold "
-                 "warm-up\n",
-                 e.what());
-    return cold_deployment(opts);
   }
+  return *deployment_;
 }
 
 adversary::MonitorNode& TrialContext::monitor(

@@ -39,30 +39,23 @@ class TrialContext {
   TrialContext(const TrialContext&) = delete;
   TrialContext& operator=(const TrialContext&) = delete;
 
-  /// Two-phase seeding + warm-state snapshots. A nonzero `warmup_seed` is
-  /// stamped into every DeploymentOptions this context builds from (see
+  /// Two-phase seeding. A nonzero `warmup_seed` is stamped into every
+  /// DeploymentOptions this context builds from (see
   /// DeploymentOptions::warmup_seed), making the post-warm-up state
-  /// trial-independent. With a cache, deployment() consults it only when
-  /// the deployment must be (re)built: it then restores that state from
-  /// a warm snapshot instead of re-simulating the warm-up — publishing a
-  /// snapshot on the first cold miss. A pooled deployment whose node set
-  /// matches is reset instead, because replaying the warm-up is cheaper
-  /// than deserializing a snapshot. The cache may be shared across
-  /// worker threads (it is internally locked) and, through its
-  /// directory, across shard processes. Both restored and cold
-  /// deployments are bit-identical by construction; the campaign's
-  /// snapshot-identity tests enforce it.
+  /// trial-independent; the campaign engine always sets it, because the
+  /// report bytes are defined by two-phase streams. `cache` is unused:
+  /// every cold start is build + warm-up. The parameter remains only for
+  /// the repository benchmark (hsbench/), which still passes one.
   void set_warm_policy(std::uint64_t warmup_seed,
-                       snapshot::SnapshotCache* cache);
+                       snapshot::SnapshotCache* cache = nullptr);
 
   /// Returns a deployment in exactly the state `Deployment(options)`
-  /// would produce. Reuses (reset + reseeds) the pooled instance when its
-  /// node set matches; otherwise rebuilds it, from a warm snapshot on a
-  /// cache hit. Every build, reuse, restore and save is counted through
-  /// the obs counters of the attached thread. Any auxiliary
-  /// nodes from the previous trial are forgotten — re-acquire them
-  /// after this call, in the same order a fresh experiment would
-  /// construct them.
+  /// would produce. Reuses (reset + reseeds, warm-up replayed) the pooled
+  /// instance when its node set matches; otherwise rebuilds it. Every
+  /// build and reuse is counted through the obs counters of the attached
+  /// thread. Any auxiliary nodes from the previous trial are forgotten —
+  /// re-acquire them after this call, in the same order a fresh
+  /// experiment would construct them.
   Deployment& deployment(const DeploymentOptions& options);
 
   /// Acquire-or-reset the auxiliary node of the given kind, registered
@@ -86,9 +79,6 @@ class TrialContext {
                                  std::size_t fft_size = 256);
 
  private:
-  /// Cold path: reset-or-rebuild with a full warm-up replay.
-  Deployment& cold_deployment(const DeploymentOptions& options);
-
   std::unique_ptr<Deployment> deployment_;
   std::unique_ptr<adversary::MonitorNode> monitor_;
   std::unique_ptr<imd::ProgrammerNode> programmer_;
@@ -96,7 +86,6 @@ class TrialContext {
   std::unique_ptr<adversary::CrossTrafficNode> cross_traffic_;
   std::unique_ptr<JammingSignalGenerator> jamgen_;
   std::uint64_t warmup_seed_ = 0;
-  snapshot::SnapshotCache* cache_ = nullptr;
 };
 
 }  // namespace hs::shield

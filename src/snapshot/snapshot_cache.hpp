@@ -1,7 +1,8 @@
 /// @file
-/// Keyed cache of parsed warm-state snapshots, shared by every campaign
-/// worker in a process and — through an optional directory — by every
-/// shard process of a sharded campaign.
+/// Keyed cache of parsed warm-state snapshots, shareable by threads and —
+/// through an optional directory — by processes. No campaign execution
+/// path creates one any more (a cold start is build + warm-up); the
+/// benchmark and the snapshot tests still do.
 ///
 /// Keys are content digests (sha256 hex of the canonicalized deployment
 /// configuration + warm-up seed; see shield::deployment_warm_key), so a

@@ -296,7 +296,8 @@ TEST(TrialContext, PoolCountersAccountForEveryTrial) {
   // The obs counters are the only record of what the pool did. Each
   // trial of these presets acquires exactly one deployment, so builds
   // plus reuses must equal the trial count on every path; the pool off
-  // never reuses, and the snapshot cache off never restores or saves.
+  // never reuses. No path saves or restores a warm snapshot: a cold
+  // start is build + warm-up.
   const char* const kPresets[] = {"fig9-eaves-ber", "fig11-trigger",
                                   "table2-coexistence"};
   for (const char* preset : kPresets) {
@@ -311,11 +312,8 @@ TEST(TrialContext, PoolCountersAccountForEveryTrial) {
       pooled.threads = threads;
       CampaignOptions no_reuse = pooled;
       no_reuse.reuse_deployments = false;
-      CampaignOptions no_snapshot = pooled;
-      no_snapshot.snapshots = false;
-      for (const CampaignOptions& opt : {pooled, no_reuse, no_snapshot}) {
-        SCOPED_TRACE(testing::Message() << "reuse " << opt.reuse_deployments
-                                        << " snapshots " << opt.snapshots);
+      for (const CampaignOptions& opt : {pooled, no_reuse}) {
+        SCOPED_TRACE(testing::Message() << "reuse " << opt.reuse_deployments);
         const obs::Report c = run_campaign(*s, opt).metrics;
         const std::uint64_t trials = c.counter(obs::Counter::kTrials);
         EXPECT_EQ(trials, s->point_count());
@@ -325,10 +323,8 @@ TEST(TrialContext, PoolCountersAccountForEveryTrial) {
         if (!opt.reuse_deployments) {
           EXPECT_EQ(c.counter(obs::Counter::kDeploymentsReused), 0u);
         }
-        if (!opt.snapshots) {
-          EXPECT_EQ(c.counter(obs::Counter::kSnapshotsRestored), 0u);
-          EXPECT_EQ(c.counter(obs::Counter::kSnapshotsSaved), 0u);
-        }
+        EXPECT_EQ(c.counter(obs::Counter::kSnapshotsRestored), 0u);
+        EXPECT_EQ(c.counter(obs::Counter::kSnapshotsSaved), 0u);
       }
     }
   }

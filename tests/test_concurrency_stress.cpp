@@ -17,7 +17,7 @@
 //
 // (3) ServeSchedulerStressTest: many client threads hammer one resident
 //     serve::Scheduler — concurrent submits, starts and racing cancels
-//     over a shared worker pool and snapshot cache — and every request
+//     over a shared worker pool — and every request
 //     that completes must still report bytes identical to its serial
 //     run.
 //
@@ -195,8 +195,8 @@ TEST(ServeSchedulerStressTest, RacingSubmitsCancelsAndCompletions) {
 
   // One resident scheduler: 4 workers, 4-deep weighted-fair set, queue
   // sized so every submit is admitted — the stress is contention on the
-  // scheduler lock, the shared snapshot cache and the per-worker
-  // TrialContexts, not admission push-back (test_serve covers that).
+  // scheduler lock and the per-worker TrialContexts, not admission
+  // push-back (test_serve covers that).
   constexpr std::size_t kClients = 6;
   constexpr std::size_t kPerClient = 4;
   obs::ServiceStats stats;

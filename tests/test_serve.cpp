@@ -10,9 +10,8 @@
 // mid-stream client disconnect, concurrent clients over real TCP).
 //
 // Also part of the TSan suite (see .github/workflows/ci.yml): the
-// scheduler's worker pool, per-request callback serialization and the
-// shared snapshot cache are exactly the shared-state hot spots
-// ThreadSanitizer is pointed at.
+// scheduler's worker pool and per-request callback serialization are
+// exactly the shared-state hot spots ThreadSanitizer is pointed at.
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
@@ -52,7 +51,7 @@ TEST(ServeProtocol, ParsesFullRunRequest) {
   const auto req = serve::parse_request(
       R"({"cmd":"run","preset":"fig9-eaves-ber","seed":42,"trials":8,)"
       R"("chunk_size":2,"priority":5,)"
-      R"("overrides":{"reuse":false,"snapshots":false}})");
+      R"("overrides":{"reuse":false}})");
   EXPECT_EQ(req.kind, serve::RequestKind::kRun);
   EXPECT_EQ(req.run.preset, "fig9-eaves-ber");
   EXPECT_EQ(req.run.seed, 42u);
@@ -60,7 +59,20 @@ TEST(ServeProtocol, ParsesFullRunRequest) {
   EXPECT_EQ(req.run.chunk_size, 2u);
   EXPECT_EQ(req.run.priority, 5u);
   EXPECT_FALSE(req.run.reuse);
-  EXPECT_FALSE(req.run.snapshots);
+}
+
+TEST(ServeProtocol, SnapshotsIsAnUnknownOverride) {
+  // Cold starts no longer go through a snapshot cache, so the override
+  // that switched it is gone; the strict parser must say so, not ignore it.
+  try {
+    serve::parse_request(
+        R"({"cmd":"run","preset":"x","overrides":{"snapshots":false}})");
+    FAIL() << "the snapshots override was accepted";
+  } catch (const serve::ProtocolError& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown override 'snapshots'"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(ServeProtocol, DefaultsAndKeyOrderTolerance) {
@@ -72,7 +84,6 @@ TEST(ServeProtocol, DefaultsAndKeyOrderTolerance) {
   EXPECT_EQ(req.run.chunk_size, 1u);
   EXPECT_EQ(req.run.priority, 1u);
   EXPECT_TRUE(req.run.reuse);
-  EXPECT_TRUE(req.run.snapshots);
 
   const auto cancel = serve::parse_request(R"({"id":7,"cmd":"cancel"})");
   EXPECT_EQ(cancel.kind, serve::RequestKind::kCancel);

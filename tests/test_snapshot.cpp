@@ -1,9 +1,8 @@
 // Warm-state snapshot subsystem tests: exact state serialization round
 // trips, strict rejection of corrupted/truncated/version-mismatched
 // documents (no partial restores, ever), the keyed snapshot cache with
-// its disk fallback, deployment save/restore bit-identity — including a
-// randomized round-trip property test — and campaign-level byte identity
-// of warm-restored runs against cold runs for every scenario preset.
+// its disk fallback, and deployment save/restore bit-identity —
+// including a randomized round-trip property test.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -12,14 +11,9 @@
 #include <limits>
 #include <string>
 
-#include "campaign/report.hpp"
-#include "campaign/runner.hpp"
-#include "campaign/scenario.hpp"
 #include "dsp/rng.hpp"
 #include "imd/profiles.hpp"
-#include "obs/metrics.hpp"
 #include "shield/deployment.hpp"
-#include "shield/trial_context.hpp"
 #include "snapshot/snapshot_cache.hpp"
 #include "snapshot/state_io.hpp"
 
@@ -345,7 +339,10 @@ TEST(DeploymentSnapshot, RestoreMatchesColdWarmupExactly) {
   const StateDoc doc = StateDoc::parse(snap, "mem");
 
   // Restore into a freshly built (warm-up-skipping) deployment...
-  shield::Deployment restored(doc, opt);
+  shield::DeploymentOptions unwarmed = opt;
+  unwarmed.warmup_s = 0.0;
+  shield::Deployment restored(unwarmed);
+  restored.restore_warm(doc, opt);
   EXPECT_EQ(restored.save_warm(), snap);
 
   // ...and into a pooled deployment previously holding another trial.
@@ -408,7 +405,10 @@ TEST(DeploymentSnapshot, RandomizedRoundTripProperty) {
 
     const std::string snap = original.save_warm();
     const StateDoc doc = StateDoc::parse(snap, "mem");
-    shield::Deployment restored(doc, opt);
+    shield::DeploymentOptions unwarmed = opt;
+    unwarmed.warmup_s = 0.0;
+    shield::Deployment restored(unwarmed);
+    restored.restore_warm(doc, opt);
     original.begin_trial(opt.seed);
     EXPECT_EQ(restored.save_warm(), original.save_warm());
 
@@ -416,139 +416,6 @@ TEST(DeploymentSnapshot, RandomizedRoundTripProperty) {
     restored.run_for(2e-3);
     EXPECT_EQ(restored.save_warm(), original.save_warm());
   }
-}
-
-// ---- TrialContext fallback ------------------------------------------------
-
-TEST(TrialContextSnapshot, CorruptCacheEntryFallsBackToColdBitIdentically) {
-  const std::string dir = make_temp_dir();
-  shield::DeploymentOptions opt;
-  opt.seed = 31;
-
-  // Reference: cold two-phase warm-up, no cache.
-  shield::TrialContext cold;
-  cold.set_warm_policy(7, nullptr);
-  const std::string want = cold.deployment(opt).save_warm();
-
-  // Populate the cache, then corrupt the persisted file and force the
-  // next process to read it from disk.
-  const shield::DeploymentOptions keyed = [&] {
-    shield::DeploymentOptions k = opt;
-    k.warmup_seed = 7;
-    return k;
-  }();
-  const std::string key = shield::deployment_warm_key(keyed);
-  {
-    SnapshotCache cache(dir);
-    obs::MetricsRegistry registry;
-    {
-      obs::WorkerScope scope(&registry, nullptr, "warm");
-      shield::TrialContext warm;
-      warm.set_warm_policy(7, &cache);
-      warm.deployment(opt);
-    }
-    EXPECT_EQ(registry.report().counter(obs::Counter::kSnapshotsSaved), 1u);
-  }
-  const std::string path = dir + "/" + key + ".hsnap";
-  std::FILE* f = std::fopen(path.c_str(), "r+b");
-  ASSERT_NE(f, nullptr);
-  std::fseek(f, 100, SEEK_SET);
-  std::fputc('!', f);
-  std::fclose(f);
-
-  SnapshotCache cache(dir);
-  shield::TrialContext ctx;
-  ctx.set_warm_policy(7, &cache);
-  obs::MetricsRegistry registry;
-  shield::Deployment* d = nullptr;
-  {
-    obs::WorkerScope scope(&registry, nullptr, "ctx");
-    d = &ctx.deployment(opt);
-  }
-  // The corrupted file was a miss; the context warmed up cold and
-  // republished — state identical to the no-cache reference.
-  EXPECT_EQ(d->save_warm(), want);
-  const obs::Report counters = registry.report();
-  EXPECT_EQ(counters.counter(obs::Counter::kSnapshotsRestored), 0u);
-  EXPECT_EQ(counters.counter(obs::Counter::kSnapshotsSaved), 1u);
-}
-
-// ---- Campaign-level byte identity -----------------------------------------
-
-campaign::Scenario shrink(const campaign::Scenario& preset) {
-  campaign::Scenario s = preset;
-  if (s.axis != campaign::SweepAxis::kNone && s.axis_values.size() > 2) {
-    s.axis_values.resize(2);
-  }
-  s.units_per_trial = std::min<std::size_t>(s.units_per_trial, 1);
-  s.default_trials = 2;
-  return s;
-}
-
-TEST(CampaignSnapshot, WarmRunsByteIdenticalToColdForEveryPreset) {
-  // The tentpole invariant, enforced preset by preset: a warm-restored
-  // campaign emits byte-identical canonical CSV and JSON to a cold run.
-  for (const auto& preset : campaign::scenario_presets()) {
-    SCOPED_TRACE(preset.name);
-    const campaign::Scenario s = shrink(preset);
-
-    campaign::CampaignOptions cold;
-    cold.seed = 13;
-    cold.threads = 1;
-    cold.snapshots = false;
-    auto cold_result = campaign::run_campaign(s, cold);
-
-    campaign::CampaignOptions warm = cold;
-    warm.snapshots = true;
-    auto warm_result = campaign::run_campaign(s, warm);
-    if (campaign::experiment_uses_deployments(s.kind)) {
-      // A 1-thread run may satisfy every later trial by resetting its
-      // pooled deployment, so the cache's footprint is "published at
-      // least one snapshot" (and restored on any rebuild), not "restored
-      // every trial".
-      EXPECT_GT(warm_result.metrics.counter(obs::Counter::kSnapshotsRestored) +
-                    warm_result.metrics.counter(obs::Counter::kSnapshotsSaved),
-                0u);
-    }
-
-    campaign::canonicalize(cold_result);
-    campaign::canonicalize(warm_result);
-    EXPECT_EQ(campaign::to_csv(warm_result), campaign::to_csv(cold_result));
-    EXPECT_EQ(campaign::to_json(warm_result),
-              campaign::to_json(cold_result));
-  }
-}
-
-TEST(CampaignSnapshot, SnapshotDirIsSharedAcrossProcessesAndRuns) {
-  // Simulates the sharded flow: one run populates <dir>, a later run (a
-  // different process in real life) restores from disk without a single
-  // cold warm-up — and still reproduces the cold aggregates exactly.
-  const std::string dir = make_temp_dir();
-  campaign::Scenario s = shrink(*campaign::find_scenario("fig8-tradeoff"));
-
-  campaign::CampaignOptions cold;
-  cold.seed = 29;
-  cold.threads = 1;
-  cold.snapshots = false;
-  auto cold_result = campaign::run_campaign(s, cold);
-
-  campaign::CampaignOptions first = cold;
-  first.snapshots = true;
-  first.snapshot_dir = dir;
-  const auto first_result = campaign::run_campaign(s, first);
-  EXPECT_GT(first_result.metrics.counter(obs::Counter::kSnapshotsSaved), 0u);
-
-  auto second_result = campaign::run_campaign(s, first);
-  // All keys are on disk.
-  EXPECT_EQ(second_result.metrics.counter(obs::Counter::kSnapshotsSaved), 0u);
-  EXPECT_GT(second_result.metrics.counter(obs::Counter::kSnapshotsRestored),
-            0u);
-
-  campaign::canonicalize(cold_result);
-  campaign::canonicalize(second_result);
-  EXPECT_EQ(campaign::to_csv(second_result), campaign::to_csv(cold_result));
-  EXPECT_EQ(campaign::to_json(second_result),
-            campaign::to_json(cold_result));
 }
 
 }  // namespace
